@@ -89,10 +89,14 @@ def chain_from_dict(d: dict, where: str) -> dict:
                      "thinning": False, "adapt_step": False}, where)
 
 
-def _chain_cfg(d: dict, seed: int) -> ChainConfig:
-    return ChainConfig(step_size=float(d["step_size"]), iterations=int(d["iterations"]),
-                       burn_in=int(d.get("burn_in", 0)), thinning=int(d.get("thinning", 1)),
-                       seed=seed, adapt_step=bool(d.get("adapt_step", True)))
+def _chain_cfg(d: dict, seed: int, where: str) -> ChainConfig:
+    try:
+        return ChainConfig(step_size=float(d["step_size"]), iterations=int(d["iterations"]),
+                           burn_in=int(d.get("burn_in", 0)),
+                           thinning=int(d.get("thinning", 1)),
+                           seed=seed, adapt_step=bool(d.get("adapt_step", True)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -125,14 +129,22 @@ class ExperimentConfig:
         beta = _take(top["beta"], {"mode": True, "value": False, "b": False}, "beta")
         if beta["mode"] not in ("fixed", "fourth-root"):
             raise ConfigError("beta.mode must be 'fixed' or 'fourth-root'")
-        if beta["mode"] == "fixed" and "value" not in beta:
-            raise ConfigError("fixed beta requires a value")
+        if beta["mode"] == "fixed":
+            if "value" not in beta:
+                raise ConfigError("fixed beta requires a value")
+            try:
+                positive = 0.0 < float(beta["value"]) < math.inf
+            except (TypeError, ValueError):
+                positive = False
+            if not positive:
+                raise ConfigError(f"fixed beta must be a positive number, got {beta['value']!r}")
         sampler = top.get("sampler", {})
         sampler = _take(sampler, {"outer": False, "inner": False, "conditional": False,
                                   "n": False, "n_xi": False}, "sampler")
         for key in ("outer", "inner", "conditional"):
             if key in sampler:
-                chain_from_dict(sampler[key], f"sampler.{key}")
+                where = f"sampler.{key}"
+                _chain_cfg(chain_from_dict(sampler[key], where), 0, where)
         return cls(network=top["network"], prior=prior, data=data, beta=beta,
                    sampler=sampler, seed=int(top.get("seed", 0)),
                    output_dir=top.get("output_dir"), raw=d)
@@ -315,7 +327,8 @@ def cmd_sample(args) -> int:
 
     chains = {}
     for key in ("outer", "inner", "conditional"):
-        chains[key] = _chain_cfg(ec.sampler.get(key, _DEFAULT_CHAINS[key]), ec.seed)
+        chains[key] = _chain_cfg(ec.sampler.get(key, _DEFAULT_CHAINS[key]), ec.seed,
+                                 f"sampler.{key}")
     budgets = TwoStageBudgets(outer=chains["outer"], inner=chains["inner"],
                               conditional=chains["conditional"],
                               n_xi=ec.sampler.get("n_xi"))

@@ -291,6 +291,13 @@ class ConditionReport:
         }
 
 
+def _A1_A2(act) -> tuple:
+    """A1 = 2 a1 + 4 sqrt(3/2) a2 and A2 = (2 + 1/sqrt(pi)) sqrt(2 a2 sqrt(3/2))."""
+    A1 = 2.0 * act.a1 + 4.0 * math.sqrt(1.5) * act.a2
+    A2 = (2.0 + 1.0 / math.sqrt(math.pi)) * math.sqrt(2.0 * act.a2 * math.sqrt(1.5))
+    return A1, A2
+
+
 def check_logconcavity_conditions(cfg: NetworkConfig, data: Dataset, beta: float,
                                   N: int = None, delta: float = None) -> ConditionReport:
     """Evaluate delta, A1-A3, H1, H2 and the K / Kd / H conditions.
@@ -301,12 +308,11 @@ def check_logconcavity_conditions(cfg: NetworkConfig, data: Dataset, beta: float
     if N is None:
         N = data.N
     act = cfg.activation
-    a1, a2 = act.a1, act.a2
+    a2 = act.a2
     C_N = compute_C_n(data, N, act.a0, cfg.V)
     if delta is None:
         delta = compute_delta(cfg.K, a2, beta, C_N, cfg.V)
-    A1 = 2.0 * a1 + 4.0 * math.sqrt(1.5) * a2
-    A2 = (2.0 + 1.0 / math.sqrt(math.pi)) * math.sqrt(2.0 * a2 * math.sqrt(1.5))
+    A1, A2 = _A1_A2(act)
     A2_alt = (1.0 + 1.0 / math.sqrt(math.pi)) * math.sqrt(2.0 * a2 * math.sqrt(1.5))
     cv = C_N * cfg.V
     A3 = 4.0 * math.sqrt(1.5 / math.e) * a2 * cv ** 1.5 * (A1 + A2 * math.sqrt(cv))
@@ -411,11 +417,8 @@ def holder_variance_bound(ell: int, cfg: NetworkConfig, params: CouplingParams) 
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    act = cfg.activation
-    a1, a2 = act.a1, act.a2
     n, K, d, delta = params.n, cfg.K, cfg.d, params.delta
-    A1 = 2.0 * a1 + 4.0 * math.sqrt(1.5) * a2
-    A2 = (2.0 + 1.0 / math.sqrt(math.pi)) * math.sqrt(2.0 * a2 * math.sqrt(1.5))
+    A1, A2 = _A1_A2(cfg.activation)
     cnvbn = params.C_n * cfg.V * params.beta * n
     log_term = math.log(2.0 * K * d / delta)
     numer = A1 * cnvbn + A2 * math.sqrt(cnvbn * K * log_term)

@@ -1,30 +1,45 @@
-"""Constrained MALA kernels, the nested two-stage sampler, and exact oracles.
+"""One Metropolis step loop with three kernels, and exact oracles.
 
-The outer stage samples the auxiliary matrix xi from its induced marginal
-(score estimated by inner chains over w | xi); the second stage samples w
-from the log-concave reverse conditional at retained xi values.  Small-scale
-quadrature oracles provide ground truth for both stages.
+Every chain here runs the same step loop (_metropolis): it owns the accept
+test u < min(1, e^ratio), the counters, burn-in, thinning and dual-averaging
+step-size adaptation.  A chain supplies only its kernel, which proposes and
+returns the log acceptance ratio:
+
+- mala_chain: Metropolis-adjusted Langevin with support rejection;
+- independence_chain: independence Metropolis with a proposal uniform over
+  the support (used with prior proposals in the Kd >= A3 (beta N)^2 regime);
+- sample_marginal_xi: the outer chain over xi, whose score and bridge
+  log-ratio come from inner MALA chains over w | xi (or from an oracle).
+
+two_stage_sample then draws w from the log-concave reverse conditional at
+retained xi values.  Small-scale quadrature oracles provide ground truth for
+both stages.
 
 Reproducibility: every random draw comes from a counter-based Philox stream
 keyed by (seed, chain id) with the step index as counter, so identical seeds
-and configs give bit-identical chains regardless of scheduling.
+and configs give bit-identical chains regardless of scheduling.  Each step
+draws its proposal noise first, then one uniform only for in-support
+proposals.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .nnmodel import Dataset, NetworkConfig
 from .coupling import (
     CouplingParams,
+    _batch_means_se,
     in_B,
     reverse_logdensity_unnorm,
     reverse_score,
 )
+from .estimators import _logsumexp
 
 __all__ = [
     "SamplerError",
@@ -125,9 +140,14 @@ class ChainConfig:
 class ChainDiagnostics:
     acceptance_rate: float
     final_step_size: float
-    ess_estimate: float
     support_rejections: int
     extras: dict = field(default_factory=dict)
+    _draws: np.ndarray = field(default=None, repr=False, compare=False)  # (S, dim)
+
+    @cached_property
+    def ess_estimate(self) -> float:
+        """Geyer ESS of the kept draws (see ess_estimate), computed on first read."""
+        return ess_estimate(self._draws)
 
 
 class _DualAveraging:
@@ -192,6 +212,65 @@ def ess_estimate(samples: np.ndarray) -> float:
     return float(min(out))
 
 
+def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: float):
+    """The Metropolis step loop behind every chain in this module.
+
+    state is a tuple (point, statistic, ...) of which the loop keeps the
+    first two entries at each retained step; the rest is the kernel's.
+    kernel(rng, step, state, eps) draws its proposal from rng and returns None
+    when the proposal leaves the support, else (proposed state, log
+    acceptance ratio).  The loop then draws one uniform and accepts when
+    u < min(1, e^ratio); a NaN ratio rejects.  With cfg.adapt_step and
+    eps > 0, dual averaging targets acceptance 0.574 during burn-in and the
+    step size is frozen afterwards (kernels without a step size pass 0).
+
+    Returns (points, statistics, running acceptance, final state,
+    diagnostics); the arrays hold one entry per retained step.
+    """
+    adapter = _DualAveraging(eps) if cfg.adapt_step and eps > 0 else None
+    burn_in, thinning = cfg.burn_in, cfg.thinning
+    kept, kept_stat, kept_accept = [], [], []
+    accepts = post_accepts = support_rejections = 0
+    chain_rng = ChainRng(cfg.seed, chain_id)
+    for step in range(cfg.iterations):
+        rng = chain_rng.at(step)
+        move = kernel(rng, step, state, eps)
+        alpha = 0.0
+        if move is None:
+            support_rejections += 1
+        else:
+            prop, log_ratio = move
+            if not math.isnan(log_ratio):
+                alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
+            if rng.uniform() < alpha:
+                state = prop
+                accepts += 1
+                if step >= burn_in:
+                    post_accepts += 1
+        if adapter is not None and step <= burn_in:
+            eps = adapter.update(alpha) if step < burn_in else adapter.frozen
+        if step >= burn_in and (step - burn_in) % thinning == 0:
+            kept.append(state[0].copy())
+            kept_stat.append(state[1])
+            kept_accept.append(accepts / (step + 1))
+
+    points = np.array(kept)
+    diag = ChainDiagnostics(
+        acceptance_rate=post_accepts / max(cfg.iterations - burn_in, 1),
+        final_step_size=eps,
+        support_rejections=support_rejections,
+        _draws=points.reshape(len(points), -1),
+    )
+    return points, np.array(kept_stat), np.array(kept_accept), state, diag
+
+
+def _langevin_correction(x, prop, grad, grad_prop, eps: float) -> float:
+    """log q(x | prop) - log q(prop | x) for the Langevin proposal; 1-D arrays."""
+    fwd = prop - x - 0.5 * eps * eps * grad
+    rev = x - prop - 0.5 * eps * eps * grad_prop
+    return (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
+
+
 def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
                chain_id: int = 0):
     """Metropolis-adjusted Langevin chain with support rejection.
@@ -212,59 +291,21 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     if not np.all(np.isfinite(grad)):
         raise SamplerError("NaN in score at the initial state")
 
-    eps = cfg.step_size
-    adapter = _DualAveraging(eps) if cfg.adapt_step else None
-    kept = []
-    kept_logp = []
-    kept_accept = []
-    accepts = 0
-    post_accepts = 0
-    post_steps = 0
-    support_rejections = 0
-    chain_rng = ChainRng(cfg.seed, chain_id)
-
-    for step in range(cfg.iterations):
-        rng = chain_rng.at(step)
+    def kernel(rng, step, state, eps):
+        x, logp, grad = state
         noise = rng.standard_normal(target.dimension)
         prop = x + 0.5 * eps * eps * grad + eps * noise
-        alpha = 0.0
-        if target.support_test(prop):
-            logp_prop, grad_prop = target.evaluate(prop)
-            if not np.all(np.isfinite(grad_prop)):
-                raise SamplerError("NaN in score at a proposal")
-            fwd = prop - x - 0.5 * eps * eps * grad
-            rev = x - prop - 0.5 * eps * eps * grad_prop
-            log_ratio = (logp_prop - logp
-                         + (-(rev @ rev) + (fwd @ fwd)) / (2.0 * eps * eps))
-            alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            if rng.uniform() < alpha:
-                x, logp, grad = prop, logp_prop, grad_prop
-                accepts += 1
-                if step >= cfg.burn_in:
-                    post_accepts += 1
-        else:
-            support_rejections += 1
+        if not target.support_test(prop):
+            return None
+        logp_prop, grad_prop = target.evaluate(prop)
+        if not np.all(np.isfinite(grad_prop)):
+            raise SamplerError("NaN in score at a proposal")
+        return ((prop, logp_prop, grad_prop),
+                logp_prop - logp + _langevin_correction(x, prop, grad, grad_prop, eps))
 
-        if step < cfg.burn_in and adapter is not None:
-            eps = adapter.update(alpha)
-        elif step == cfg.burn_in and adapter is not None:
-            eps = adapter.frozen
-        if step >= cfg.burn_in:
-            post_steps += 1
-            if (step - cfg.burn_in) % cfg.thinning == 0:
-                kept.append(x.copy())
-                kept_logp.append(logp)
-                kept_accept.append(accepts / (step + 1))
-
-    samples = np.array(kept)
-    diag = ChainDiagnostics(
-        acceptance_rate=post_accepts / max(post_steps, 1),
-        final_step_size=eps,
-        ess_estimate=ess_estimate(samples) if len(samples) > 3 else float(len(samples)),
-        support_rejections=support_rejections,
-        extras={"log_density": np.array(kept_logp),
-                "running_acceptance": np.array(kept_accept)},
-    )
+    samples, logd, running, _, diag = _metropolis(kernel, cfg, (x, logp, grad),
+                                                  chain_id, cfg.step_size)
+    diag.extras = {"log_density": logd, "running_acceptance": running}
     return samples, diag
 
 
@@ -276,40 +317,21 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
     uniform over the target support (so the Hastings ratio reduces to the
     target ratio).  Useful when the target is a light tilt of the prior,
     e.g. the reverse conditional in the small-beta*N regime, where gradient
-    kernels fight the l1 boundary.
+    kernels fight the l1 boundary.  The chain has no step size: its
+    final_step_size is 0 and cfg.step_size is not used.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if not target.support_test(x):
         raise SamplerError("initial state outside the target support")
-    logp = target.log_density(x)
-    kept = []
-    kept_logp = []
-    accepts = 0
-    post_accepts = 0
-    post_steps = 0
-    chain_rng = ChainRng(cfg.seed, chain_id)
-    for step in range(cfg.iterations):
-        rng = chain_rng.at(step)
+
+    def kernel(rng, step, state, eps):
         prop = np.asarray(proposal(rng), dtype=float).reshape(-1)
         logp_prop = target.log_density(prop)
-        if math.log(max(rng.uniform(), 1e-300)) < logp_prop - logp:
-            x, logp = prop, logp_prop
-            accepts += 1
-            if step >= cfg.burn_in:
-                post_accepts += 1
-        if step >= cfg.burn_in:
-            post_steps += 1
-            if (step - cfg.burn_in) % cfg.thinning == 0:
-                kept.append(x.copy())
-                kept_logp.append(logp)
-    samples = np.array(kept)
-    diag = ChainDiagnostics(
-        acceptance_rate=post_accepts / max(post_steps, 1),
-        final_step_size=0.0,
-        ess_estimate=ess_estimate(samples) if len(samples) > 3 else float(len(samples)),
-        support_rejections=0,
-        extras={"log_density": np.array(kept_logp)},
-    )
+        return (prop, logp_prop), logp_prop - state[1]
+
+    samples, logd, _, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
+                                            chain_id, 0.0)
+    diag.extras = {"log_density": logd}
     return samples, diag
 
 
@@ -413,20 +435,6 @@ def _log_ratio_estimate(rho: float, xi_a: np.ndarray, xi_b: np.ndarray,
     return float(m + math.log(np.mean(np.exp(expo - m))))
 
 
-def _inner_batch(cfg, data, params, xi, inner_cfg, w_start, seed, inner_id):
-    icfg = ChainConfig(step_size=inner_cfg.step_size, iterations=inner_cfg.iterations,
-                       burn_in=inner_cfg.burn_in, thinning=inner_cfg.thinning,
-                       seed=seed, adapt_step=inner_cfg.adapt_step)
-    try:
-        samples, diag = sample_reverse_conditional(cfg, data, params, xi, icfg,
-                                                   w0=w_start, chain_id=inner_id)
-    except SamplerError as exc:
-        raise SamplerError(f"inner chain failed: {exc}") from exc
-    X = data.X[: params.n]
-    proj = np.einsum("ij,skj->sik", X, samples)  # (S, n, K)
-    return samples, proj, diag
-
-
 def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
                        outer_cfg: ChainConfig, inner_cfg: ChainConfig,
                        xi0: np.ndarray = None, w0: np.ndarray = None,
@@ -438,6 +446,9 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
     uses a bridge estimate of the marginal log-density difference built from
     the inner batches at the current and proposed states (the exact marginal
     density is available only through these conditional expectations).
+    extras["inner_score_se"] holds, per kept step, the mean over entries of
+    the score's batch-means standard error, so inner-chain autocorrelation
+    is not understated.
 
     score_oracle, when given, must expose score(xi)->(n,K) and
     log_marginal(xi)->float; it replaces the inner chains (used to validate
@@ -452,85 +463,44 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
     if not in_B(xi0, X, params):
         raise SamplerError("initial xi outside the constraint set B")
     xi = np.asarray(xi0, dtype=float)
-    w_cur = np.zeros((cfg.K, cfg.d)) if w0 is None else np.asarray(w0, dtype=float)
-
+    w_init = np.zeros((cfg.K, cfg.d)) if w0 is None else np.asarray(w0, dtype=float)
     rho = params.rho
-    seed = outer_cfg.seed
+    icfg = replace(inner_cfg, seed=outer_cfg.seed)
 
-    def evaluate(xi_val, step, which):
+    def evaluate(xi_val, inner_id, w_start):
+        """The state at xi_val: (xi, score SE, score, inner proj, last inner w)."""
         if score_oracle is not None:
-            sc = np.asarray(score_oracle.score(xi_val))
-            return None, None, sc, 0.0
-        inner_id = (chain_id + 1) * 10_000_000 + 2 * step + which
-        samples, proj, idiag = _inner_batch(cfg, data, params, xi_val, inner_cfg,
-                                            w_cur.reshape(-1), seed, inner_id)
-        sc = rho * (-xi_val + proj.mean(axis=0))
-        se = float(np.mean(np.std(proj, axis=0) / math.sqrt(len(proj)))) * rho
-        return samples, proj, sc, se
+            return xi_val, 0.0, np.asarray(score_oracle.score(xi_val)), None, w_start
+        try:
+            samples, _ = sample_reverse_conditional(cfg, data, params, xi_val, icfg,
+                                                    w0=w_start.reshape(-1), chain_id=inner_id)
+        except SamplerError as exc:
+            raise SamplerError(f"inner chain failed: {exc}") from exc
+        proj = np.einsum("ij,skj->sik", X, samples)  # (S, n, K)
+        se = float(np.mean(_batch_means_se(proj))) * rho
+        return xi_val, se, rho * (-xi_val + proj.mean(axis=0)), proj, samples[-1]
 
-    eps = outer_cfg.step_size
-    adapter = _DualAveraging(eps) if outer_cfg.adapt_step else None
-    kept = []
-    kept_se = []
-    accepts = 0
-    post_accepts = 0
-    post_steps = 0
-    support_rejections = 0
-
-    samples_cur, proj_cur, score_cur, se_cur = evaluate(xi, 0, 0)
-    if samples_cur is not None:
-        w_cur = samples_cur[-1]
-    chain_rng = ChainRng(seed, chain_id)
-
-    for step in range(outer_cfg.iterations):
-        rng = chain_rng.at(step)
+    def kernel(rng, step, state, eps):
+        xi, _, score, proj, w_last = state
         noise = rng.standard_normal((n, K))
-        prop = xi + 0.5 * eps * eps * score_cur + eps * noise
-        alpha = 0.0
-        if in_B(prop, X, params):
-            samples_p, proj_p, score_p, se_p = evaluate(prop, step, 1)
-            if score_oracle is not None:
-                log_target_diff = (score_oracle.log_marginal(prop)
-                                   - score_oracle.log_marginal(xi))
-            else:
-                d_fwd = _log_ratio_estimate(rho, xi, prop, proj_cur)
-                d_rev = -_log_ratio_estimate(rho, prop, xi, proj_p)
-                log_target_diff = 0.5 * (d_fwd + d_rev)
-            fwd = (prop - xi - 0.5 * eps * eps * score_cur).ravel()
-            rev = (xi - prop - 0.5 * eps * eps * score_p).ravel()
-            log_ratio = log_target_diff + (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
-            alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            if rng.uniform() < alpha:
-                xi = prop
-                samples_cur, proj_cur, score_cur, se_cur = samples_p, proj_p, score_p, se_p
-                if samples_cur is not None:
-                    w_cur = samples_cur[-1]
-                accepts += 1
-                if step >= outer_cfg.burn_in:
-                    post_accepts += 1
+        prop = xi + 0.5 * eps * eps * score + eps * noise
+        if not in_B(prop, X, params):
+            return None
+        new = evaluate(prop, (chain_id + 1) * 10_000_000 + 2 * step + 1, w_last)
+        if score_oracle is not None:
+            log_target_diff = (score_oracle.log_marginal(prop)
+                               - score_oracle.log_marginal(xi))
         else:
-            support_rejections += 1
+            d_fwd = _log_ratio_estimate(rho, xi, prop, proj)
+            d_rev = -_log_ratio_estimate(rho, prop, xi, new[3])
+            log_target_diff = 0.5 * (d_fwd + d_rev)
+        return new, log_target_diff + _langevin_correction(
+            xi.ravel(), prop.ravel(), score.ravel(), new[2].ravel(), eps)
 
-        if step < outer_cfg.burn_in and adapter is not None:
-            eps = adapter.update(alpha)
-        elif step == outer_cfg.burn_in and adapter is not None:
-            eps = adapter.frozen
-        if step >= outer_cfg.burn_in:
-            post_steps += 1
-            if (step - outer_cfg.burn_in) % outer_cfg.thinning == 0:
-                kept.append(xi.copy())
-                kept_se.append(se_cur)
-
-    samples = np.array(kept)
-    flat = samples.reshape(len(samples), -1) if len(samples) else samples
-    diag = ChainDiagnostics(
-        acceptance_rate=post_accepts / max(post_steps, 1),
-        final_step_size=eps,
-        ess_estimate=ess_estimate(flat) if len(samples) > 3 else float(len(samples)),
-        support_rejections=support_rejections,
-        extras={"inner_score_se": np.array(kept_se),
-                "final_inner_state": w_cur},
-    )
+    state = evaluate(xi, (chain_id + 1) * 10_000_000, w_init)
+    samples, se, _, state, diag = _metropolis(kernel, outer_cfg, state, chain_id,
+                                              outer_cfg.step_size)
+    diag.extras = {"inner_score_se": se, "final_inner_state": state[4]}
     return samples, diag
 
 
@@ -563,15 +533,10 @@ def two_stage_sample(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
     tags = []
     cond_accepts = []
     for j, xi in enumerate(xi_samples):
-        ccfg = ChainConfig(step_size=budgets.conditional.step_size,
-                           iterations=budgets.conditional.iterations,
-                           burn_in=budgets.conditional.burn_in,
-                           thinning=budgets.conditional.thinning,
-                           seed=budgets.conditional.seed,
-                           adapt_step=budgets.conditional.adapt_step)
         cid = (chain_id + 1) * 100_000_000 + j
         samples, cdiag = sample_reverse_conditional(
-            cfg, data, params, xi, ccfg, w0=w_start.reshape(-1), chain_id=cid)
+            cfg, data, params, xi, budgets.conditional, w0=w_start.reshape(-1),
+            chain_id=cid)
         w_start = samples[-1]
         draws.append(samples)
         tags.extend([j] * len(samples))
@@ -697,13 +662,6 @@ def quadrature_convergence_report(cfg: NetworkConfig, data: Dataset, n: int,
         "error_ratio": err_coarse / err_fine if err_fine > 0 else math.inf,
         "richardson": richardson,
     }
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
 
 
 class CouplingOracle1D:

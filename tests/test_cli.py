@@ -139,6 +139,21 @@ class TestSample:
         assert main(["--output-dir", str(tmp_path), "sample",
                      "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("outer", "burn_in", 100),
+        ("inner", "iterations", "abc"),
+        ("conditional", "step_size", 0),
+        (None, "value", -1),
+    ])
+    def test_malformed_sampler_or_beta_exits_2(self, tmp_path, capsys, section, key, value):
+        bad = json.loads(json.dumps(SAMPLE_CONFIG))
+        (bad["beta"] if section is None else bad["sampler"][section])[key] = value
+        cfg_path = _write(tmp_path / "exp.json", bad)
+        assert main(["--output-dir", str(tmp_path), "sample",
+                     "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.glob("chains_*"))
+
 
 class TestVerify:
     def test_telescope_selector(self, capsys):

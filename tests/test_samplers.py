@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled
 from lccnn.priors import ContinuousL1Prior, sample_continuous
@@ -17,6 +17,7 @@ from lccnn.samplers import (
     TargetDensity,
     TwoStageBudgets,
     ess_estimate,
+    independence_chain,
     mala_chain,
     reference_posterior_quadrature,
     sample_marginal_xi,
@@ -182,6 +183,33 @@ class TestReverseConditionalSampler:
 
 
 class TestIndependenceChain:
+    def test_uniform_proposals_match_quadrature(self):
+        # exp(-x^2) on [-1, 1] with proposals uniform over the support
+        target = TargetDensity(log_density=lambda x: -float(x @ x),
+                               score=lambda x: -2.0 * x,
+                               support_test=lambda x: bool(abs(x[0]) <= 1.0),
+                               dimension=1)
+        cfg = ChainConfig(step_size=0.5, iterations=20_000, burn_in=1_000,
+                          thinning=1, seed=4)
+
+        def proposal(rng):
+            return rng.uniform(-1.0, 1.0, size=1)
+
+        samples, diag = independence_chain(target, cfg, proposal, np.zeros(1))
+        x = samples[:, 0]
+        z = integrate.quad(lambda t: math.exp(-t * t), -1.0, 1.0)[0]
+        var = integrate.quad(lambda t: t * t * math.exp(-t * t), -1.0, 1.0)[0] / z
+        # the mean is 0 by symmetry, so the variance is the second moment
+        assert abs(x.mean()) <= 3.0 * x.std(ddof=1) / math.sqrt(diag.ess_estimate)
+        x2 = x * x
+        assert abs(x2.mean() - var) <= 3.0 * x2.std(ddof=1) / math.sqrt(ess_estimate(x2))
+        assert diag.support_rejections == 0
+        assert diag.final_step_size == 0.0
+        again, diag_again = independence_chain(target, cfg, proposal, np.zeros(1))
+        assert again.tobytes() == samples.tobytes()
+        assert diag_again.acceptance_rate == diag.acceptance_rate
+        assert diag_again.ess_estimate == diag.ess_estimate
+
     def test_prior_mh_tilts_toward_target(self):
         cfg, data, params = _coupled_1d(beta=1.0)
         oracle = CouplingOracle1D(cfg, data, params, n_w=1001, include_Z=False)
