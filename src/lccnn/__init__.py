@@ -79,6 +79,7 @@ from .estimators import (
     log_predictive_density,
     posterior_mean,
     predictive_density,
+    product_f_table,
     sequential_discrete_posteriors,
 )
 from .risk import (
@@ -93,6 +94,7 @@ from .risk import (
     pythagorean_check,
     regret_ledger,
     resolvability_bound,
+    streamed_regret_ledger,
 )
 
 __version__ = "0.1.0"

@@ -24,8 +24,13 @@ from .nnmodel import Activation, Dataset, NetworkConfig, eval_network_many, squa
 from .priors import DiscreteGridPrior, enumerate_grid
 from .coupling import CouplingParams, check_logconcavity_conditions
 from .samplers import ChainConfig, SamplerError, TwoStageBudgets, two_stage_sample
-from .estimators import sequential_discrete_posteriors
-from .risk import BoundInputs, RegretLedger, bound_calculator, optimal_hyperparams, regret_ledger
+from .estimators import product_f_table
+from .risk import (BoundInputs, RegretLedger, bound_calculator, optimal_hyperparams,
+                   streamed_regret_ledger)
+# snapshot-based exact ledger, kept under these names for callers that look
+# them up in this module (the benchmark's per-layer tracer wraps both)
+from .estimators import sequential_discrete_posteriors  # noqa: F401
+from .risk import regret_ledger  # noqa: F401
 from .verify import SUITES, run_suites
 
 ENV_OUT_DIR = "LCCNN_OUT_DIR"
@@ -52,6 +57,18 @@ def _take(d: dict, allowed: dict, where: str) -> dict:
     if missing:
         raise ConfigError(f"missing keys {missing} in {where}")
     return dict(d)
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """value as an int, or a ConfigError unless it is an integer >= minimum."""
+    try:
+        out = int(value)
+        integral = isinstance(value, str) or out == value
+    except (TypeError, ValueError):
+        integral = False
+    if not integral or out < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return out
 
 
 def activation_from_dict(d: dict) -> Activation:
@@ -123,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError("prior.kind must be 'continuous' or 'discrete'")
         if prior["kind"] == "discrete" and "M" not in prior:
             raise ConfigError("discrete prior requires M")
+        if "M" in prior:
+            _integer(prior["M"], "prior.M", 1)
         data = _take(top["data"], {"path": False, "synthetic": False}, "data")
         if ("path" in data) == ("synthetic" in data):
             raise ConfigError("data needs exactly one of 'path' or 'synthetic'")
@@ -145,8 +164,11 @@ class ExperimentConfig:
             if key in sampler:
                 where = f"sampler.{key}"
                 _chain_cfg(chain_from_dict(sampler[key], where), 0, where)
+        for key in ("n", "n_xi"):  # null means the default
+            if sampler.get(key) is not None:
+                _integer(sampler[key], f"sampler.{key}", 1)
         return cls(network=top["network"], prior=prior, data=data, beta=beta,
-                   sampler=sampler, seed=int(top.get("seed", 0)),
+                   sampler=sampler, seed=_integer(top.get("seed", 0), "seed", 0),
                    output_dir=top.get("output_dir"), raw=d)
 
     def as_dict(self) -> dict:
@@ -216,8 +238,12 @@ def save_dataset_csv(path, data: Dataset) -> None:
 def synthesize(spec: dict, seed_override: int = None) -> tuple:
     spec = _take(spec, {"N": True, "d": True, "seed": False, "g": True, "noise": True},
                  "synthetic spec")
-    N, d = int(spec["N"]), int(spec["d"])
-    seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
+    N = _integer(spec["N"], "synthetic N", 0)
+    d = _integer(spec["d"], "synthetic d", 1)
+    if seed_override is None:
+        seed = _integer(spec.get("seed", 0), "synthetic seed", 0)
+    else:
+        seed = seed_override
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(N, d))
     X[:, 0] = 1.0
@@ -297,6 +323,11 @@ def _get_data(ec: ExperimentConfig) -> Dataset:
     return data
 
 
+def _check_dimension(cfg: NetworkConfig, data: Dataset) -> None:
+    if data.d != cfg.d:
+        raise ConfigError(f"network.d = {cfg.d} but the data have {data.d} columns")
+
+
 def _out_path(args, name):
     base = args.output_dir or os.environ.get(ENV_OUT_DIR, ".")
     os.makedirs(base, exist_ok=True)
@@ -320,7 +351,10 @@ def cmd_sample(args) -> int:
         raise ConfigError("the two-stage sampler uses the continuous prior")
     cfg = network_from_dict(ec.network)
     data = _get_data(ec)
-    n = int(ec.sampler.get("n", data.N))
+    _check_dimension(cfg, data)
+    n = data.N if ec.sampler.get("n") is None else int(ec.sampler["n"])
+    if n > data.N:
+        raise ConfigError(f"sampler.n = {n} exceeds the {data.N} data points")
     beta = resolve_beta(ec.beta, cfg, data, n)
     params = CouplingParams.from_config(cfg, data, n=n, beta=beta)
     report = check_logconcavity_conditions(cfg, data, beta, N=n)
@@ -331,7 +365,8 @@ def cmd_sample(args) -> int:
                                  f"sampler.{key}")
     budgets = TwoStageBudgets(outer=chains["outer"], inner=chains["inner"],
                               conditional=chains["conditional"],
-                              n_xi=ec.sampler.get("n_xi"))
+                              n_xi=None if ec.sampler.get("n_xi") is None
+                              else int(ec.sampler["n_xi"]))
     draws, tags, diag = two_stage_sample(cfg, data, params, budgets)
 
     hash_ = experiment_hash(ec)
@@ -471,7 +506,14 @@ def cmd_regret(args) -> int:
     if ec.prior["kind"] != "discrete":
         raise ConfigError("exact regret ledgers require the discrete prior")
     cfg = network_from_dict(ec.network)
-    data = _get_data(ec)
+    # competitor g: the teacher when the data are synthetic, otherwise the
+    # observed responses themselves
+    if "synthetic" in ec.data:
+        data, _, g_vals = synthesize(ec.data["synthetic"])
+    else:
+        data = load_dataset_csv(ec.data["path"])
+        g_vals = data.y.copy()
+    _check_dimension(cfg, data)
     hash_ = experiment_hash(ec)
     if data.N == 0:
         path = _out_path(args, f"ledger_{hash_}.csv")
@@ -480,22 +522,17 @@ def cmd_regret(args) -> int:
         print(f"empty ledger written to {path}")
         return 0
 
-    prior = DiscreteGridPrior(d=cfg.d, M=int(ec.prior["M"]), K=cfg.K)
     try:
+        prior = DiscreteGridPrior(d=cfg.d, M=int(ec.prior["M"]), K=cfg.K)
         grid = enumerate_grid(prior)
+        _, f_rows = product_f_table(cfg, grid, data.X)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # competitor g: the teacher when synthetic and noiseless info is present,
-    # otherwise the observed responses themselves
-    if "synthetic" in ec.data:
-        _, _, g_vals = synthesize(ec.data["synthetic"])
-    else:
-        g_vals = data.y.copy()
-
+    # one f table for every prefix: the ledger over the first Nn points
+    # reads its first Nn rows
     beta_full = resolve_beta(ec.beta, cfg, data, data.N)
-    snapshots, _ = sequential_discrete_posteriors(cfg, grid, data, data.N, beta_full)
-    ledger = regret_ledger(snapshots[:-1], cfg, data, g_vals, beta_full)
+    ledger = streamed_regret_ledger(cfg, f_rows, data.y, g_vals, beta_full)
     ledger_path = _out_path(args, f"ledger_{hash_}.csv")
     _ledger_csv(ledger_path, ledger, hash_)
 
@@ -506,8 +543,8 @@ def cmd_regret(args) -> int:
         if N_dyadic >= 2 or data.N == 1:
             Nn = N_dyadic
             beta_n = resolve_beta(ec.beta, cfg, data, Nn)
-            snaps_n, _ = sequential_discrete_posteriors(cfg, grid, data, Nn, beta_n)
-            led_n = regret_ledger(snaps_n[:-1], cfg, data, g_vals[:Nn], beta_n)
+            led_n = ledger if Nn == data.N else streamed_regret_ledger(
+                cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
             C_N = float(np.max(np.abs(data.y[:Nn]))) + act.a0 * cfg.V
             b_g = float(np.max(np.abs(g_vals[:Nn])))
             inp = BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V, b=b_g,

@@ -2,6 +2,9 @@
 
 The discrete grid prior admits exact sequential posteriors by enumeration:
 a probability table over (S^d_{1,M})^K proportional to exp(-beta * l_n).
+The tables read one product f table, built once per data set as an (N, P)
+array whose row n - 1 holds f(w, x_n) at each of the P grid points, so the
+table at prefix n is the one at n - 1 reweighted by row n - 1 alone.
 All log-domain accumulation uses log-sum-exp with max subtraction, and
 predictive ratios are differences of log Bayes factors, so telescoping
 identities hold to near machine precision.
@@ -18,6 +21,7 @@ from .nnmodel import Dataset, NetworkConfig
 
 __all__ = [
     "PosteriorSnapshot",
+    "product_f_table",
     "exact_discrete_posterior",
     "sequential_discrete_posteriors",
     "posterior_mean",
@@ -94,33 +98,36 @@ class PosteriorSnapshot:
                         axis=1)
 
 
-def _product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
-    """f(w, x_i) over the K-fold grid product, built from per-row psi tables.
+def product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
+    """f(w, x_n) over the K-fold grid product, built from per-row psi tables.
 
-    Product points are visited through mixed-radix digits; no K x d weight
-    matrix is ever materialized.
+    Returns (digits (K, P), f (N, P)): row n - 1 of f is the network output
+    at x_n for every product point.  Product point p has mixed-radix digits
+    digits[:, p], the last one fastest, so neuron k's psi table enters f
+    broadcast along axis k of the (N, m, ..., m) view; no K x d weight matrix
+    is ever materialized.
     """
     m = len(grid)
     P = m ** cfg.K
     if P > _ENUM_LIMIT:
         raise ValueError(f"product enumeration of {P} points exceeds limit {_ENUM_LIMIT}")
-    psi = cfg.activation.psi(grid @ X.T)  # (m, N)
-    digits = np.empty((cfg.K, P), dtype=np.int64)
-    idx = np.arange(P)
-    for k in range(cfg.K - 1, -1, -1):
-        digits[k] = idx % m
-        idx = idx // m
-    f = np.zeros((P, X.shape[0]))
+    N = X.shape[0]
+    psi = cfg.activation.psi(grid @ X.T).T  # (N, m)
+    f = np.zeros((N,) + (m,) * cfg.K)
     for k in range(cfg.K):
-        f += cfg.outer_weights[k] * psi[digits[k]]
-    return digits, f
+        shape = [N] + [1] * cfg.K
+        shape[k + 1] = m
+        f += cfg.outer_weights[k] * psi.reshape(shape)
+    return np.indices((m,) * cfg.K).reshape(cfg.K, P), f.reshape(N, P)
 
 
 def exact_discrete_posterior(cfg: NetworkConfig, grid: np.ndarray, data: Dataset,
                              n: int, beta: float) -> PosteriorSnapshot:
     """Exact posterior table over (S^d_{1,M})^K at prefix length n."""
-    digits, f = _product_f_table(cfg, grid, data.X)
-    res = data.y[None, :n] - f[:, :n]
+    digits, f = product_f_table(cfg, grid, data.X[:n])
+    # sum each point's squares along a contiguous row: numpy sums a row
+    # pairwise but a column in sequence, and the two differ in the last bits
+    res = np.ascontiguousarray((data.y[:n, None] - f).T)
     logw = -0.5 * beta * np.sum(res * res, axis=1)
     logw -= _logsumexp(logw)
     return PosteriorSnapshot(n=n, beta=beta, kind="exact", grid=np.asarray(grid),
@@ -134,15 +141,15 @@ def sequential_discrete_posteriors(cfg: NetworkConfig, grid: np.ndarray,
     Each table is the previous one reweighted by the new likelihood factor;
     the f table over the product grid is computed once.
     """
-    digits, f = _product_f_table(cfg, grid, data.X[:N] if N else data.X[:0])
-    P = f.shape[0]
+    digits, f = product_f_table(cfg, grid, data.X[:N])
+    P = f.shape[1]
     log_prior = -math.log(P)
     cum = np.zeros(P)
     snapshots = []
     log_loss_moments = [0.0]
     for n in range(N + 1):
         if n > 0:
-            res = data.y[n - 1] - f[:, n - 1]
+            res = data.y[n - 1] - f[n - 1]
             cum = cum - 0.5 * beta * res * res
             log_loss_moments.append(_logsumexp(cum + log_prior))
         logw = cum - _logsumexp(cum)

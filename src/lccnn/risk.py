@@ -6,6 +6,12 @@ error, and the log-loss regret of the predictive density.  Their ordering
 r_square <= r_rand and r_log <= r_rand <= r_log + 2 beta lambda^2 holds
 pathwise for exact posteriors.
 
+regret_ledger reads a list of posterior snapshots, exact tables or sample
+sets.  streamed_regret_ledger computes the same ledger for the exact grid
+posteriors from the (N, P) product f table in one pass over n, with O(P)
+working memory and the log predictive taken as a Bayes-factor ratio; any
+prefix of the table gives the ledger of that prefix.
+
 The bound calculators reproduce the closed-form regret/risk bounds with the
 exact optimizing (beta*, K*, M*), term by term.
 """
@@ -25,6 +31,7 @@ __all__ = [
     "RegretRecord",
     "RegretLedger",
     "regret_ledger",
+    "streamed_regret_ledger",
     "bayes_factor_telescope",
     "resolvability_bound",
     "BoundInputs",
@@ -76,6 +83,36 @@ class RegretLedger:
         return rows
 
 
+def _ledger(records, N: int) -> RegretLedger:
+    N = max(N, 1)
+    return RegretLedger(
+        records=tuple(records),
+        R_square=sum(r.r_square for r in records) / N,
+        R_rand=sum(r.r_rand for r in records) / N,
+        R_log=sum(r.r_log for r in records) / N,
+        Lambda_sq=sum(r.lambda_n ** 2 for r in records) / N,
+    )
+
+
+def _record(n: int, y_n: float, g_n: float, mu: float, mean_sq: float,
+            log_pred: float, beta: float, b: float) -> RegretRecord:
+    """Step n's regrets from the posterior mean mu, E[(y_n - f)^2] and the
+    log predictive density at y_n."""
+    eps = y_n - g_n
+    log_q = 0.5 * math.log(beta / (2.0 * math.pi)) - 0.5 * beta * eps ** 2
+    return RegretRecord(n=n, r_square=0.5 * ((y_n - mu) ** 2 - eps ** 2),
+                        r_rand=0.5 * (mean_sq - eps ** 2),
+                        r_log=(-log_pred + log_q) / beta,
+                        lambda_n=b * abs(eps) + b * b)
+
+
+def _half_width(cfg: NetworkConfig, g_values: np.ndarray, b_g: float) -> float:
+    """b = (b_f + b_g) / 2, with b_f = a0 V and b_g defaulting to sup |g|."""
+    if b_g is None:
+        b_g = float(np.max(np.abs(g_values))) if len(g_values) else 0.0
+    return 0.5 * (cfg.activation.a0 * cfg.V + b_g)
+
+
 def regret_ledger(snapshots, cfg: NetworkConfig, data: Dataset, g_values,
                   beta: float, b_g: float = None) -> RegretLedger:
     """Per-step regrets of the sequential posteriors against competitor g.
@@ -88,15 +125,11 @@ def regret_ledger(snapshots, cfg: NetworkConfig, data: Dataset, g_values,
     N = len(g_values)
     if len(snapshots) < N:
         raise ValueError(f"need {N} snapshots (n = 0..{N - 1}), got {len(snapshots)}")
-    b_f = cfg.activation.a0 * cfg.V
-    if b_g is None:
-        b_g = float(np.max(np.abs(g_values))) if N else 0.0
-    b = 0.5 * (b_f + b_g)
+    b = _half_width(cfg, g_values, b_g)
     records = []
     for n in range(1, N + 1):
         snap = snapshots[n - 1]
-        x_n, y_n, g_n = data.X[n - 1], data.y[n - 1], g_values[n - 1]
-        eps = y_n - g_n
+        x_n, y_n = data.X[n - 1], data.y[n - 1]
         f = snap.f_values(cfg, x_n)
         if snap.kind == "exact":
             mu = float(snap.weights @ f)
@@ -104,22 +137,52 @@ def regret_ledger(snapshots, cfg: NetworkConfig, data: Dataset, g_values,
         else:
             mu = float(np.mean(f))
             mean_sq = float(np.mean((y_n - f) ** 2))
-        r_square = 0.5 * ((y_n - mu) ** 2 - eps ** 2)
-        r_rand = 0.5 * (mean_sq - eps ** 2)
         log_pred = log_predictive_density(snap, cfg, x_n, y_n, beta)
-        log_q = 0.5 * math.log(beta / (2.0 * math.pi)) - 0.5 * beta * eps ** 2
-        r_log = (-log_pred + log_q) / beta
-        lam = b * abs(eps) + b * b
-        records.append(RegretRecord(n=n, r_square=r_square, r_rand=r_rand,
-                                    r_log=r_log, lambda_n=lam))
-    N = max(N, 1)
-    return RegretLedger(
-        records=tuple(records),
-        R_square=sum(r.r_square for r in records) / N,
-        R_rand=sum(r.r_rand for r in records) / N,
-        R_log=sum(r.r_log for r in records) / N,
-        Lambda_sq=sum(r.lambda_n ** 2 for r in records) / N,
-    )
+        records.append(_record(n, y_n, g_values[n - 1], mu, mean_sq, log_pred, beta, b))
+    return _ledger(records, N)
+
+
+def _normalize(log_w: np.ndarray):
+    """One exp pass: normalized weights and log-sum-exp of log_w."""
+    top = np.max(log_w)
+    e = np.exp(log_w - top)
+    total = np.sum(e)
+    return e / total, float(top + np.log(total))
+
+
+def streamed_regret_ledger(cfg: NetworkConfig, f_rows: np.ndarray, y, g_values,
+                           beta: float, b_g: float = None) -> RegretLedger:
+    """regret_ledger of the exact grid posteriors, streamed over one f table.
+
+    f_rows is the (N, P) product f table (row n - 1 holds f(w, x_n) at every
+    grid point) and y the N responses.  One pass over n keeps only the
+    running log-likelihood of each point, so the working memory is O(P).
+    Each step's single exp pass gives the normalized weights and the log
+    normalizer lse_n; the log predictive is the Bayes-factor ratio
+    lse_n - lse_{n-1} + (1/2) log(beta / 2 pi).
+    """
+    g_values = np.asarray(g_values, dtype=float)
+    y = np.asarray(y, dtype=float)
+    N = len(g_values)
+    if len(f_rows) != N or len(y) != N:
+        raise ValueError(f"need {N} f rows and responses, got {len(f_rows)} and {len(y)}")
+    b = _half_width(cfg, g_values, b_g)
+    half_log = 0.5 * math.log(beta / (2.0 * math.pi))
+    cum = np.zeros(f_rows.shape[1])
+    weights, lse = _normalize(cum)
+    records = []
+    for n in range(1, N + 1):
+        f, y_n = f_rows[n - 1], y[n - 1]
+        res = y_n - f
+        mu, mean_sq = float(weights @ f), float(weights @ (res * res))
+        # rounded as in sequential_discrete_posteriors, so both keep the
+        # same log-likelihoods
+        cum = cum - 0.5 * beta * res * res
+        weights, lse_n = _normalize(cum)
+        records.append(_record(n, y_n, g_values[n - 1], mu, mean_sq,
+                               lse_n - lse + half_log, beta, b))
+        lse = lse_n
+    return _ledger(records, N)
 
 
 def bayes_factor_telescope(cfg: NetworkConfig, grid: np.ndarray, data: Dataset,

@@ -561,22 +561,27 @@ def _row_grid(d: int, m: int):
     The ball is the nested box {|w_1| <= 1, |w_2| <= 1 - |w_1|, ...}; each
     level uses m midpoint cells over its exact (budget-dependent) range, so
     no cell straddles the boundary and the rule converges at second order.
-    """
-    def recurse(budget, depth):
-        if depth == d:
-            return [np.zeros(0)], [1.0]
-        h = 2.0 * budget / m
-        pts_out, wts_out = [], []
-        for i in range(m):
-            w1 = -budget + (i + 0.5) * h
-            sub_pts, sub_wts = recurse(budget - abs(w1), depth + 1)
-            for p, wt in zip(sub_pts, sub_wts):
-                pts_out.append(np.concatenate([[w1], p]))
-                wts_out.append(h * wt)
-        return pts_out, wts_out
 
-    pts, wts = recurse(1.0, 0)
-    return np.array(pts), np.array(wts)
+    Nodes come in lexicographic cell order, one level per pass: level k
+    splits each of the m^k remaining budgets into m cells.  A node's volume
+    is the product h_0 * (h_1 * (... * h_{d-1})), taken innermost first.
+    """
+    mid = np.arange(m) + 0.5
+    budget = np.ones(1)
+    levels = []  # per level: cell width per prefix, midpoint per prefix and cell
+    for _ in range(d):
+        h = 2.0 * budget / m
+        w = (-budget[:, None] + mid * h[:, None]).ravel()
+        levels.append((h, w))
+        budget = np.repeat(budget, m) - np.abs(w)
+    n = len(budget)
+    pts = np.empty((n, d))
+    wts = np.ones(n)
+    for k in range(d - 1, -1, -1):
+        h, w = levels[k]
+        pts[:, k] = np.repeat(w, n // len(w))
+        wts = np.repeat(h, n // len(h)) * wts
+    return pts, wts
 
 
 class PosteriorQuadrature:

@@ -12,8 +12,13 @@ from lccnn.cli import (
     config_hash,
     load_dataset_csv,
     main,
+    network_from_dict,
+    resolve_beta,
     synthesize,
 )
+from lccnn.estimators import product_f_table, sequential_discrete_posteriors
+from lccnn.priors import DiscreteGridPrior, enumerate_grid
+from lccnn.risk import regret_ledger, streamed_regret_ledger
 
 
 def _write(path, obj):
@@ -155,6 +160,51 @@ class TestSample:
         assert not list(tmp_path.glob("chains_*"))
 
 
+REGRET_CONFIG = {
+    "network": {"K": 1, "d": 2, "V": 1.0, "activation": {"kind": "tanh"}},
+    "prior": {"kind": "discrete", "M": 1},
+    "data": {"synthetic": {"N": 16, "d": 2, "seed": 4,
+                           "g": {"kind": "teacher", "K": 1, "V": 1.0,
+                                 "activation": {"kind": "tanh"},
+                                 "weights": [[0.0, 1.0]]},
+                           "noise": {"kind": "gaussian", "sigma": 0.2}}},
+    "beta": {"mode": "fourth-root"},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("regret", "seed", "abc"),
+    ("regret", "prior.M", "abc"),
+    ("regret", "prior.M", 0),
+    ("regret", "prior.M", -2),
+    ("regret", "prior.M", 1.5),
+    ("regret", "prior.M", 3),  # the grid prior needs M <= d
+    ("regret", "data.synthetic.N", -3),
+    ("regret", "data.synthetic.N", "abc"),
+    ("regret", "data.synthetic.seed", "abc"),
+    ("regret", "network.d", 3),  # the data have d = 2
+    ("sample", "seed", "abc"),
+    ("sample", "sampler.n", "abc"),
+    ("sample", "sampler.n", 0),
+    ("sample", "sampler.n", 5),  # more than the 4 data points
+    ("sample", "sampler.n_xi", "x"),
+    ("sample", "sampler.n_xi", 0),
+    ("sample", "network.d", 3),
+])
+def test_malformed_field_exits_2(tmp_path, capsys, command, field, value):
+    bad = json.loads(json.dumps(REGRET_CONFIG if command == "regret" else SAMPLE_CONFIG))
+    *path, key = field.split(".")
+    node = bad
+    for part in path:
+        node = node[part]
+    node[key] = value
+    cfg_path = _write(tmp_path / "cfg.json", bad)
+    assert main(["--output-dir", str(tmp_path), command, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestVerify:
     def test_telescope_selector(self, capsys):
         rc = main(["verify", "telescope"])
@@ -200,16 +250,16 @@ class TestBounds:
 
 
 class TestRegret:
-    CONFIG = {
-        "network": {"K": 1, "d": 2, "V": 1.0, "activation": {"kind": "tanh"}},
-        "prior": {"kind": "discrete", "M": 1},
-        "data": {"synthetic": {"N": 16, "d": 2, "seed": 4,
-                               "g": {"kind": "teacher", "K": 1, "V": 1.0,
-                                     "activation": {"kind": "tanh"},
-                                     "weights": [[0.0, 1.0]]},
-                               "noise": {"kind": "gaussian", "sigma": 0.2}}},
+    CONFIG = REGRET_CONFIG
+    # K = 2 neurons on the d = 3, M = 2 grid: 25 points per row, 625 in all
+    CONFIG_K2 = {
+        "network": {"K": 2, "d": 3, "V": 1.0, "activation": {"kind": "tanh"}},
+        "prior": {"kind": "discrete", "M": 2},
+        "data": {"synthetic": {"N": 24, "d": 3, "seed": 9,
+                               "g": {"kind": "teacher", "K": 2, "V": 1.0,
+                                     "activation": {"kind": "tanh"}},
+                               "noise": {"kind": "gaussian", "sigma": 0.3}}},
         "beta": {"mode": "fourth-root"},
-        "seed": 1,
     }
 
     def test_ledger_and_bound_rows(self, tmp_path):
@@ -251,3 +301,43 @@ class TestRegret:
         cfg_path = _write(tmp_path / "cfg.json", cfg)
         assert main(["--output-dir", str(tmp_path), "regret",
                      "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("which", ["CONFIG", "CONFIG_K2"])
+    @pytest.mark.parametrize("beta", [{"mode": "fixed", "value": 1.7},
+                                      {"mode": "fourth-root"}])
+    def test_streamed_ledger_matches_snapshot_ledger(self, tmp_path, which, beta):
+        cfg_dict = dict(getattr(self, which), beta=beta)
+        cfg_path = _write(tmp_path / "cfg.json", cfg_dict)
+        assert main(["--output-dir", str(tmp_path), "regret", "--config", cfg_path]) == 0
+        h = config_hash(cfg_dict)
+        with (tmp_path / f"regret_vs_bound_{h}.csv").open() as fh:
+            fh.readline()
+            written = {int(r["N"]): float(r["R_square"]) for r in csv.DictReader(fh)}
+
+        ec = ExperimentConfig.from_dict(cfg_dict)
+        net = network_from_dict(ec.network)
+        data, _, g = synthesize(ec.data["synthetic"])
+        grid = enumerate_grid(DiscreteGridPrior(d=net.d, M=ec.prior["M"], K=net.K))
+        _, f_rows = product_f_table(net, grid, data.X)
+        for N in [2, 4, 8, 16, data.N]:
+            b = resolve_beta(ec.beta, net, data, N)
+            snaps, _ = sequential_discrete_posteriors(net, grid, data, N, b)
+            ref = regret_ledger(snaps[:-1], net, data, g[:N], b)
+            got = streamed_regret_ledger(net, f_rows[:N], data.y[:N], g[:N], b)
+            assert len(got.records) == N
+            for r, s in zip(ref.records, got.records):
+                assert r.n == s.n
+                for field in ("r_square", "r_rand", "r_log", "lambda_n"):
+                    assert abs(getattr(r, field) - getattr(s, field)) < 1e-12
+            for field in ("R_square", "R_rand", "R_log", "Lambda_sq"):
+                assert abs(getattr(ref, field) - getattr(got, field)) < 1e-12
+            if N in written:
+                assert abs(written[N] - ref.R_square) < 1e-12
+
+    def test_rerun_byte_identical(self, tmp_path):
+        cfg_path = _write(tmp_path / "cfg.json", self.CONFIG_K2)
+        outputs = []
+        for run in ("a", "b"):
+            main(["--output-dir", str(tmp_path / run), "regret", "--config", cfg_path])
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

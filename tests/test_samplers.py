@@ -16,6 +16,7 @@ from lccnn.samplers import (
     SamplerError,
     TargetDensity,
     TwoStageBudgets,
+    _row_grid,
     ess_estimate,
     independence_chain,
     mala_chain,
@@ -394,6 +395,38 @@ class TestQuadratureOracle:
         w = sample_continuous(ContinuousL1Prior(d=1, K=1), rng)
         xi, _ = sample_xi_given_w(w, data.X, params, rng)
         assert np.isfinite(oracle.log_marginal(xi))
+
+
+def _row_grid_recursive(d, m, budget=1.0):
+    """Reference for _row_grid: one level per call, one node at a time."""
+    if d == 0:
+        return [np.zeros(0)], [1.0]
+    h = 2.0 * budget / m
+    pts, wts = [], []
+    for i in range(m):
+        w1 = -budget + (i + 0.5) * h
+        sub_pts, sub_wts = _row_grid_recursive(d - 1, m, budget - abs(w1))
+        pts += [np.concatenate([[w1], p]) for p in sub_pts]
+        wts += [h * wt for wt in sub_wts]
+    return pts, wts
+
+
+class TestRowGrid:
+    @pytest.mark.parametrize("d, m", [(1, 7), (2, 9), (3, 5)])
+    def test_matches_recursive_reference(self, d, m):
+        pts, wts = _row_grid(d, m)
+        ref_pts, ref_wts = _row_grid_recursive(d, m)
+        assert np.array_equal(pts, np.array(ref_pts))
+        assert np.array_equal(wts, np.array(ref_wts))
+
+    def test_weights_sum_to_l1_ball_volume(self):
+        # exact when every kink of the cell widths falls on a cell edge:
+        # d = 1, or d = 2 with m even
+        for d, m in [(1, 7), (2, 8), (2, 350)]:
+            assert abs(_row_grid(d, m)[1].sum() - 2.0 ** d / math.factorial(d)) < 1e-12
+        # otherwise the midpoint rule's error, second order in 1/m
+        err = [abs(_row_grid(3, m)[1].sum() - 4.0 / 3.0) for m in (10, 20, 40)]
+        assert 3.5 < err[0] / err[1] < 4.5 and 3.5 < err[1] / err[2] < 4.5
 
 
 class TestEssAndJsonl:
