@@ -71,6 +71,14 @@ def _integer(value, where: str, minimum: int) -> int:
     return out
 
 
+def _number(value, where: str) -> float:
+    """value as a float, or a ConfigError unless it is a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def activation_from_dict(d: dict) -> Activation:
     d = _take(d, {"kind": True, "a": False, "c": False}, "activation")
     kind = d["kind"]
@@ -92,12 +100,13 @@ def activation_to_dict(act: Activation) -> dict:
 def network_from_dict(d: dict) -> NetworkConfig:
     d = _take(d, {"K": True, "d": True, "V": True, "activation": True, "signs": False},
               "network")
-    signs = np.asarray(d["signs"], dtype=float) if "signs" in d else None
     try:
-        return NetworkConfig(K=int(d["K"]), d=int(d["d"]), V=float(d["V"]),
+        signs = np.asarray(d["signs"], dtype=float) if "signs" in d else None
+        return NetworkConfig(K=_integer(d["K"], "network.K", 1),
+                             d=_integer(d["d"], "network.d", 1), V=float(d["V"]),
                              activation=activation_from_dict(d["activation"]),
                              signs=signs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -107,11 +116,14 @@ def chain_from_dict(d: dict, where: str) -> dict:
 
 
 def _chain_cfg(d: dict, seed: int, where: str) -> ChainConfig:
+    adapt_step = d.get("adapt_step", True)
+    if not isinstance(adapt_step, bool):
+        raise ConfigError(f"{where}.adapt_step must be true or false, got {adapt_step!r}")
     try:
         return ChainConfig(step_size=float(d["step_size"]), iterations=int(d["iterations"]),
                            burn_in=int(d.get("burn_in", 0)),
                            thinning=int(d.get("thinning", 1)),
-                           seed=seed, adapt_step=bool(d.get("adapt_step", True)))
+                           seed=seed, adapt_step=adapt_step)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -151,12 +163,10 @@ class ExperimentConfig:
         if beta["mode"] == "fixed":
             if "value" not in beta:
                 raise ConfigError("fixed beta requires a value")
-            try:
-                positive = 0.0 < float(beta["value"]) < math.inf
-            except (TypeError, ValueError):
-                positive = False
-            if not positive:
+            if not 0.0 < _number(beta["value"], "fixed beta") < math.inf:
                 raise ConfigError(f"fixed beta must be a positive number, got {beta['value']!r}")
+        if "b" in beta and not _number(beta["b"], "beta.b") >= 0.0:
+            raise ConfigError(f"beta.b must be a nonnegative number, got {beta['b']!r}")
         sampler = top.get("sampler", {})
         sampler = _take(sampler, {"outer": False, "inner": False, "conditional": False,
                                   "n": False, "n_xi": False}, "sampler")
@@ -212,11 +222,14 @@ def resolve_beta(beta_cfg: dict, cfg: NetworkConfig, data: Dataset, N: int,
 # ----------------------------------------------------------------------
 
 def load_dataset_csv(path) -> Dataset:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if header[-1] != "y":
         raise ConfigError("dataset CSV must end with a 'y' column")
-    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     try:
         return Dataset(X=arr[:, :-1], y=arr[:, -1])
     except ValueError as exc:
@@ -229,6 +242,20 @@ def save_dataset_csv(path, data: Dataset) -> None:
         writer.writerow([f"x{j + 1}" for j in range(data.d)] + ["y"])
         for i in range(data.N):
             writer.writerow([repr(float(v)) for v in data.X[i]] + [repr(float(data.y[i]))])
+
+
+def _write_csv(path, cols, rows, comment: str = None) -> None:
+    """One CSV row per dict under a header of cols (other keys are dropped),
+    floats written as repr so they read back exactly; comment, when given,
+    is a leading '# ' line."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (repr(float(v)) if isinstance(v, (float, np.floating)) else v)
+                             for k, v in row.items()})
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +284,13 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
         weights = g_spec.pop("weights", None)
         tcfg = network_from_dict(g_spec | {"d": d})
         if weights is not None:
-            w = np.asarray(weights, dtype=float)
+            try:
+                w = np.asarray(weights, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"g (teacher) weights: {exc}") from exc
+            if w.shape != (tcfg.K, d):
+                raise ConfigError(f"g (teacher) weights must have shape ({tcfg.K}, {d}), "
+                                  f"got {w.shape}")
         else:
             raw = rng.uniform(-1.0, 1.0, size=(tcfg.K, d))
             w = raw / np.maximum(np.abs(raw).sum(axis=1, keepdims=True), 1.0)
@@ -267,8 +300,8 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
                              "signs": tcfg.signs.tolist(), "weights": w.tolist()})
     elif kind == "cosine":
         g_spec = _take(g_spec, {"amplitude": False, "frequency": False}, "g (cosine)")
-        amp = float(g_spec.get("amplitude", 1.0))
-        freq = float(g_spec.get("frequency", 1.0))
+        amp = _number(g_spec.get("amplitude", 1.0), "g.amplitude")
+        freq = _number(g_spec.get("frequency", 1.0), "g.frequency")
         g_vals = amp * np.cos(math.pi * freq * X.mean(axis=1))
         teacher_meta.update({"amplitude": amp, "frequency": freq})
     else:
@@ -279,11 +312,11 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
     if nkind == "none":
         y = g_vals.copy()
     elif nkind == "gaussian":
-        sigma = float(noise.get("sigma", 1.0))
+        sigma = _number(noise.get("sigma", 1.0), "noise.sigma")
         y = g_vals + sigma * rng.standard_normal(N)
         teacher_meta["sigma"] = sigma
     elif nkind == "bounded":
-        r = float(noise.get("range", 1.0))
+        r = _number(noise.get("range", 1.0), "noise.range")
         y = g_vals + rng.uniform(-r, r, size=N)
         teacher_meta["range"] = r
     else:
@@ -316,16 +349,30 @@ def _load_json(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _get_data(ec: ExperimentConfig) -> Dataset:
+def _get_data(ec: ExperimentConfig) -> tuple:
+    """(data, g values): g is the teacher for synthetic data, otherwise the
+    observed responses themselves."""
     if "path" in ec.data:
-        return load_dataset_csv(ec.data["path"])
-    data, _, _ = synthesize(ec.data["synthetic"])
-    return data
+        data = load_dataset_csv(ec.data["path"])
+        return data, data.y.copy()
+    data, _, g_vals = synthesize(ec.data["synthetic"])
+    return data, g_vals
 
 
-def _check_dimension(cfg: NetworkConfig, data: Dataset) -> None:
+def _load_experiment(args, prior_kind: str) -> tuple:
+    """The config with the flag overrides, its network, data and g values."""
+    ec = ExperimentConfig.from_dict(_load_json(args.config))
+    if args.seed is not None:
+        ec.seed = args.seed
+    if args.output_dir:
+        ec.output_dir = args.output_dir
+    if ec.prior["kind"] != prior_kind:
+        raise ConfigError(f"lccnn {args.command} requires the {prior_kind} prior")
+    cfg = network_from_dict(ec.network)
+    data, g_vals = _get_data(ec)
     if data.d != cfg.d:
         raise ConfigError(f"network.d = {cfg.d} but the data have {data.d} columns")
+    return ec, cfg, data, g_vals
 
 
 def _out_path(args, name):
@@ -342,16 +389,9 @@ _DEFAULT_CHAINS = {
 
 
 def cmd_sample(args) -> int:
-    ec = ExperimentConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        ec.seed = args.seed
-    if args.output_dir:
-        ec.output_dir = args.output_dir
-    if ec.prior["kind"] != "continuous":
-        raise ConfigError("the two-stage sampler uses the continuous prior")
-    cfg = network_from_dict(ec.network)
-    data = _get_data(ec)
-    _check_dimension(cfg, data)
+    ec, cfg, data, _ = _load_experiment(args, "continuous")
+    if data.N == 0:
+        raise ConfigError("the sampler needs at least one data point")
     n = data.N if ec.sampler.get("n") is None else int(ec.sampler["n"])
     if n > data.N:
         raise ConfigError(f"sampler.n = {n} exceeds the {data.N} data points")
@@ -436,7 +476,7 @@ def cmd_bounds(args) -> int:
                              b=spec["b"], sigma=spec["sigma"], C_N=spec["C_N"],
                              d=int(spec["d"]), N=int(spec["N"]), M=spec["M"],
                              K=spec["K"], beta=spec["beta"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     hash_ = config_hash(raw)
     rows = []
@@ -466,13 +506,7 @@ def cmd_bounds(args) -> int:
         lines.append(f"  square_regret[{label}]: total={br.total!r}")
 
     out_csv = _out_path(args, f"bounds_{hash_}.csv")
-    cols = sorted({k for row in rows for k in row if k != "warnings"})
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(float(v)) if isinstance(v, (float, np.floating)) else v)
-                             for k, v in row.items() if k != "warnings"})
+    _write_csv(out_csv, sorted({k for row in rows for k in row if k != "warnings"}), rows)
     out_txt = _out_path(args, f"bounds_{hash_}.txt")
     with open(out_txt, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -486,34 +520,12 @@ def cmd_bounds(args) -> int:
 # ----------------------------------------------------------------------
 
 def _ledger_csv(path, ledger: RegretLedger, hash_: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={hash_}\n")
-        cols = ["n", "r_square", "r_rand", "r_log", "lambda",
-                "avg_square", "avg_rand", "avg_log", "avg_lambda_sq"]
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in ledger.as_rows():
-            writer.writerow({k: (repr(float(v)) if isinstance(v, (float, np.floating)) else v)
-                             for k, v in row.items()})
+    _write_csv(path, ["n", "r_square", "r_rand", "r_log", "lambda", "avg_square", "avg_rand",
+                      "avg_log", "avg_lambda_sq"], ledger.as_rows(), f"config_hash={hash_}")
 
 
 def cmd_regret(args) -> int:
-    ec = ExperimentConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        ec.seed = args.seed
-    if args.output_dir:
-        ec.output_dir = args.output_dir
-    if ec.prior["kind"] != "discrete":
-        raise ConfigError("exact regret ledgers require the discrete prior")
-    cfg = network_from_dict(ec.network)
-    # competitor g: the teacher when the data are synthetic, otherwise the
-    # observed responses themselves
-    if "synthetic" in ec.data:
-        data, _, g_vals = synthesize(ec.data["synthetic"])
-    else:
-        data = load_dataset_csv(ec.data["path"])
-        g_vals = data.y.copy()
-    _check_dimension(cfg, data)
+    ec, cfg, data, g_vals = _load_experiment(args, "discrete")
     hash_ = experiment_hash(ec)
     if data.N == 0:
         path = _out_path(args, f"ledger_{hash_}.csv")
@@ -555,13 +567,7 @@ def cmd_regret(args) -> int:
                          "bound": br.total})
         N_dyadic *= 2
     comp_path = _out_path(args, f"regret_vs_bound_{hash_}.csv")
-    with open(comp_path, "w", newline="") as fh:
-        fh.write(f"# config_hash={hash_}\n")
-        writer = csv.DictWriter(fh, fieldnames=["N", "beta", "R_square", "bound"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(float(v)) if isinstance(v, (float, np.floating)) else v)
-                             for k, v in row.items()})
+    _write_csv(comp_path, ["N", "beta", "R_square", "bound"], rows, f"config_hash={hash_}")
     print(f"wrote {ledger_path} and {comp_path}")
     return 0
 

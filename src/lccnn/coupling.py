@@ -10,7 +10,9 @@ restricted to the constraint polytope B.  With
 the reverse conditional p*(w|xi) is log-concave for every xi in B, and the
 induced marginal p*(xi) is log-concave once Kd >= A3 (beta N)^2.  This module
 computes the constants (delta, A1-A3, H1, H2), the densities and their
-derivatives, and numeric certificates for each of those claims.
+derivatives, and numeric certificates for each of those claims.  Each reverse
+function is its lccnn.nnmodel posterior counterpart plus the coupling term, and
+every projection of inner draws onto xi is one stacked_projection einsum.
 
 The truncation normalizer Z(w) = ln P(xi in B | w) is treated as a constant
 (dropped from the reverse density and score): its derivatives are O(delta),
@@ -24,7 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnmodel import Dataset, NetworkConfig, check_weights, eval_network_many
+from .nnmodel import (Dataset, NetworkConfig, log_posterior_unnorm,
+                      posterior_hessian_quadform, posterior_score)
+# looked up in this module by callers (the benchmark's per-layer tracer wraps it)
+from .nnmodel import eval_network_many  # noqa: F401
 from .priors import prior_moment_bound
 
 __all__ = [
@@ -136,27 +141,18 @@ def reverse_logdensity_unnorm(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
 
     Equals -beta*l_n(w) - (rho/2) sum_{i,k} (xi_ik - w_k.x_i)^2.
     """
-    w = check_weights(w, cfg)
-    n = params.n
-    X = data.X[:n]
-    res = data.y[:n] - eval_network_many(cfg, w, X)
-    quad = np.asarray(xi) - X @ w.T
-    return -params.beta * 0.5 * float(res @ res) - 0.5 * params.rho * float(np.sum(quad * quad))
+    log_post = log_posterior_unnorm(cfg, w, data, params.n, params.beta)
+    gap = np.asarray(xi) - data.X[: params.n] @ np.asarray(w).T  # (n, K)
+    return log_post - 0.5 * params.rho * float(np.sum(gap * gap))
 
 
 def reverse_score(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
                   data: Dataset, params: CouplingParams) -> np.ndarray:
     """Gradient of reverse_logdensity_unnorm in w, flattened K*d."""
-    w = np.asarray(w, dtype=float)
-    n = params.n
-    X = data.X[:n]
-    res = data.y[:n] - eval_network_many(cfg, w, X)
-    dps = cfg.activation.dpsi(w @ X.T)  # (K, n)
-    coef = params.beta * res[None, :] * cfg.outer_weights[:, None] * dps
-    grad = coef @ X
-    quad = np.asarray(xi) - X @ w.T  # (n, K)
-    grad += params.rho * quad.T @ X
-    return grad.reshape(-1)
+    score = posterior_score(cfg, w, data, params.n, params.beta)
+    X = data.X[: params.n]
+    gap = np.asarray(xi) - X @ np.asarray(w).T  # (n, K)
+    return score + (params.rho * gap.T @ X).ravel()
 
 
 def reverse_hessian_quadform(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
@@ -164,6 +160,7 @@ def reverse_hessian_quadform(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
                              u: np.ndarray) -> float:
     """Quadratic form of the reverse conditional's log-density Hessian.
 
+    The posterior's form minus rho sum_{k,i} (u_k.x_i)^2, that is
     -beta sum_i (sum_k c_k psi'(w_k.x_i) u_k.x_i)^2
     + sum_{k,i} (u_k.x_i)^2 [beta res_i(w) c_k psi''(w_k.x_i) - rho].
 
@@ -171,24 +168,15 @@ def reverse_hessian_quadform(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
     -(sqrt(3/2)-1) a2 beta C_n V / K, so the form is nonpositive.  (xi does
     not enter: the quadratic coupling term has constant Hessian.)
     """
-    w = check_weights(w, cfg)
-    u = np.asarray(u, dtype=float).reshape(cfg.K, cfg.d)
-    n = params.n
-    X = data.X[:n]
-    res = data.y[:n] - eval_network_many(cfg, w, X)
-    z = w @ X.T
-    ux = u @ X.T
-    c = cfg.outer_weights
-    first = cfg.activation.dpsi(z) * ux * c[:, None]
-    t1 = -params.beta * float(np.sum(first.sum(axis=0) ** 2))
-    bracket = params.beta * res[None, :] * c[:, None] * cfg.activation.d2psi(z) - params.rho
-    t2 = float(np.sum((ux ** 2) * bracket))
-    return t1 + t2
+    form = posterior_hessian_quadform(cfg, w, data, params.n, params.beta, u)
+    ux = np.asarray(u, dtype=float).reshape(cfg.K, cfg.d) @ data.X[: params.n].T
+    return form - params.rho * float(np.sum(ux * ux))
 
 
 def stacked_projection(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The (n, K) matrix with column k equal to X w_k."""
-    return np.asarray(X) @ np.asarray(w).T
+    """x_i . w_k for weights (..., K, d): the (..., n, K) stack whose column
+    k is X w_k, for one matrix or for a batch (S, K, d) of inner draws."""
+    return np.einsum("ij,...kj->...ik", np.asarray(X), np.asarray(w, dtype=float))
 
 
 def marginal_score(xi: np.ndarray, inner_samples, params: CouplingParams,
@@ -203,7 +191,7 @@ def marginal_score(xi: np.ndarray, inner_samples, params: CouplingParams,
     if len(inner_samples) == 0:
         raise ValueError("marginal_score requires at least one inner sample")
     xi = np.asarray(xi, dtype=float)
-    proj = np.stack([stacked_projection(w, X) for w in inner_samples])  # (S, n, K)
+    proj = stacked_projection(inner_samples, X)  # (S, n, K)
     score = params.rho * (-xi + proj.mean(axis=0))
     se = params.rho * _batch_means_se(proj)
     return score, se
@@ -253,7 +241,7 @@ def marginal_concavity_estimate(xi: np.ndarray, inner_samples, params: CouplingP
     """
     if len(inner_samples) < 10:
         raise ValueError("need at least 10 inner samples for a covariance estimate")
-    proj = np.stack([stacked_projection(w, X).reshape(-1) for w in inner_samples])
+    proj = stacked_projection(inner_samples, X).reshape(len(inner_samples), -1)
     centered = proj - proj.mean(axis=0)
     lam, v = _lambda_max(centered)
     scores = (centered @ v) ** 2

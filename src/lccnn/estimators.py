@@ -4,7 +4,8 @@ The discrete grid prior admits exact sequential posteriors by enumeration:
 a probability table over (S^d_{1,M})^K proportional to exp(-beta * l_n).
 The tables read one product f table, built once per data set as an (N, P)
 array whose row n - 1 holds f(w, x_n) at each of the P grid points, so the
-table at prefix n is the one at n - 1 reweighted by row n - 1 alone.
+table at prefix n is the one at n - 1 reweighted by row n - 1 alone.  Every
+table over a K-fold product grid, here and in lccnn.samplers, is product_table's.
 All log-domain accumulation uses log-sum-exp with max subtraction, and
 predictive ratios are differences of log Bayes factors, so telescoping
 identities hold to near machine precision.
@@ -21,6 +22,8 @@ from .nnmodel import Dataset, NetworkConfig
 
 __all__ = [
     "PosteriorSnapshot",
+    "product_table",
+    "product_points",
     "product_f_table",
     "exact_discrete_posterior",
     "sequential_discrete_posteriors",
@@ -48,8 +51,8 @@ def _logsumexp(v):
 class PosteriorSnapshot:
     """Posterior at prefix length n: exact weight table or MC sample set.
 
-    Exact tables index the K-fold product of a per-row grid through digit
-    arrays; weight matrices themselves are assembled only on demand.
+    Exact tables live on the K-fold product of a per-row grid in the layout
+    of product_table; weight matrices are assembled only on demand.
     """
 
     n: int
@@ -86,49 +89,67 @@ class PosteriorSnapshot:
         key = x.tobytes()
         if key not in self._f_cache:
             psi = cfg.activation.psi(self.grid @ x)  # (m,)
-            f = np.zeros(self.digits.shape[1])
-            for k in range(cfg.K):
-                f += cfg.outer_weights[k] * psi[self.digits[k]]
-            self._f_cache[key] = f
+            self._f_cache[key] = product_table(psi[None], cfg.outer_weights)[0]
         return self._f_cache[key]
 
     def points(self) -> np.ndarray:
         """Materialize the (P, K, d) support (test-scale convenience)."""
-        return np.stack([self.grid[self.digits[k]] for k in range(self.digits.shape[0])],
-                        axis=1)
+        return product_points(self.grid, self.digits.shape[0])
+
+
+def product_table(table: np.ndarray, coefs) -> np.ndarray:
+    """sum_k coefs[k] * table[:, digit_k(p)] over a K-fold product grid.
+
+    table is (N, m), one column per grid row; K = len(coefs).  Point p has
+    mixed-radix digits digit_k(p), the last one fastest, so term k is table
+    broadcast along axis k + 1 of an (N, m, ..., m) view.  Returns (N, m**K).
+    """
+    N, m = table.shape
+    K = len(coefs)
+    out = np.zeros((N,) + (m,) * K)
+    for k in range(K):
+        shape = [N] + [1] * K
+        shape[k + 1] = m
+        out += coefs[k] * table.reshape(shape)
+    return out.reshape(N, m ** K)
+
+
+def product_points(grid: np.ndarray, K: int) -> np.ndarray:
+    """The (m**K, K, d) product points: row k of point p is grid[digit_k(p)],
+    product_table with unit coefficients (adding zeros only, so exact)."""
+    return np.ascontiguousarray(np.stack([product_table(grid.T, e).T for e in np.eye(K)],
+                                         axis=1))
+
+
+def _sq_residual_sums(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_i (y_i - f[i, p])^2 for each column p of an (n, P) table f, summed
+    along contiguous rows: numpy sums a row pairwise but a column in
+    sequence, and the two differ in the last bits."""
+    res = np.ascontiguousarray((y[:, None] - f).T)
+    return np.sum(res * res, axis=1)
 
 
 def product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
     """f(w, x_n) over the K-fold grid product, built from per-row psi tables.
 
     Returns (digits (K, P), f (N, P)): row n - 1 of f is the network output
-    at x_n for every product point.  Product point p has mixed-radix digits
-    digits[:, p], the last one fastest, so neuron k's psi table enters f
-    broadcast along axis k of the (N, m, ..., m) view; no K x d weight matrix
-    is ever materialized.
+    at x_n for every product point, and product point p has mixed-radix
+    digits digits[:, p] (see product_table); no K x d weight matrix is ever
+    materialized.
     """
     m = len(grid)
     P = m ** cfg.K
     if P > _ENUM_LIMIT:
         raise ValueError(f"product enumeration of {P} points exceeds limit {_ENUM_LIMIT}")
-    N = X.shape[0]
     psi = cfg.activation.psi(grid @ X.T).T  # (N, m)
-    f = np.zeros((N,) + (m,) * cfg.K)
-    for k in range(cfg.K):
-        shape = [N] + [1] * cfg.K
-        shape[k + 1] = m
-        f += cfg.outer_weights[k] * psi.reshape(shape)
-    return np.indices((m,) * cfg.K).reshape(cfg.K, P), f.reshape(N, P)
+    return np.indices((m,) * cfg.K).reshape(cfg.K, P), product_table(psi, cfg.outer_weights)
 
 
 def exact_discrete_posterior(cfg: NetworkConfig, grid: np.ndarray, data: Dataset,
                              n: int, beta: float) -> PosteriorSnapshot:
     """Exact posterior table over (S^d_{1,M})^K at prefix length n."""
     digits, f = product_f_table(cfg, grid, data.X[:n])
-    # sum each point's squares along a contiguous row: numpy sums a row
-    # pairwise but a column in sequence, and the two differ in the last bits
-    res = np.ascontiguousarray((data.y[:n, None] - f).T)
-    logw = -0.5 * beta * np.sum(res * res, axis=1)
+    logw = -0.5 * beta * _sq_residual_sums(data.y[:n], f)
     logw -= _logsumexp(logw)
     return PosteriorSnapshot(n=n, beta=beta, kind="exact", grid=np.asarray(grid),
                              digits=digits, log_weights=logw)

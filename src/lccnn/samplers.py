@@ -38,8 +38,9 @@ from .coupling import (
     in_B,
     reverse_logdensity_unnorm,
     reverse_score,
+    stacked_projection,
 )
-from .estimators import _logsumexp
+from .estimators import _logsumexp, _sq_residual_sums, product_points, product_table
 
 __all__ = [
     "SamplerError",
@@ -476,7 +477,7 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
                                                     w0=w_start.reshape(-1), chain_id=inner_id)
         except SamplerError as exc:
             raise SamplerError(f"inner chain failed: {exc}") from exc
-        proj = np.einsum("ij,skj->sik", X, samples)  # (S, n, K)
+        proj = stacked_projection(samples, X)  # (S, n, K)
         se = float(np.mean(_batch_means_se(proj))) * rho
         return xi_val, se, rho * (-xi_val + proj.mean(axis=0)), proj, samples[-1]
 
@@ -585,7 +586,8 @@ def _row_grid(d: int, m: int):
 
 
 class PosteriorQuadrature:
-    """Tabulated posterior over (S^d_1)^K on a deterministic product grid."""
+    """Tabulated posterior over (S^d_1)^K on the K-fold product of the _row_grid
+    nodes, in estimators.product_table's layout; points is built on first read."""
 
     def __init__(self, cfg: NetworkConfig, data: Dataset, n: int, beta: float,
                  grid_resolution: int):
@@ -594,27 +596,20 @@ class PosteriorQuadrature:
         self.cfg = cfg
         self.n = n
         self.beta = beta
-        row_pts, row_wts = _row_grid(cfg.d, grid_resolution)
-        m = len(row_pts)
-        X = data.X[:n]
-        y = data.y[:n]
-        psi_tab = cfg.activation.psi(row_pts @ X.T)  # (m, n)
-        idx = np.indices((m,) * cfg.K).reshape(cfg.K, -1)  # (K, m^K)
-        f_tab = np.zeros((idx.shape[1], n))
-        log_wt = np.zeros(idx.shape[1])
-        for k in range(cfg.K):
-            f_tab += cfg.outer_weights[k] * psi_tab[idx[k]]
-            log_wt += np.log(row_wts[idx[k]])
-        res = y[None, :] - f_tab
-        self.log_density = -0.5 * beta * np.sum(res * res, axis=1)  # vs prior, unnorm
+        self._row_pts, row_wts = _row_grid(cfg.d, grid_resolution)
+        f = product_table(cfg.activation.psi(self._row_pts @ data.X[:n].T).T,
+                          cfg.outer_weights)  # (n, m^K)
+        log_wt = product_table(np.log(row_wts)[None], np.ones(cfg.K))[0]
+        self.log_density = -0.5 * beta * _sq_residual_sums(data.y[:n], f)  # vs prior, unnorm
         logz = _logsumexp(self.log_density + log_wt)
         self.log_density -= logz  # now a normalized density wrt Lebesgue
         self.cell_volume = np.exp(log_wt)
         self.probs = np.exp(self.log_density) * self.cell_volume
-        self.points = np.stack([row_pts[idx[k]] for k in range(cfg.K)], axis=1)  # (m^K, K, d)
-        self._row_pts = row_pts
-        self._psi_tab = psi_tab
-        self._idx = idx
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The (m^K, K, d) nodes."""
+        return product_points(self._row_pts, self.cfg.K)
 
     def total_mass(self) -> float:
         return float(self.probs.sum())
@@ -624,10 +619,7 @@ class PosteriorQuadrature:
 
     def mean_f(self, x: np.ndarray) -> float:
         psi_x = self.cfg.activation.psi(self._row_pts @ np.asarray(x))
-        f_vals = np.zeros(self._idx.shape[1])
-        for k in range(self.cfg.K):
-            f_vals += self.cfg.outer_weights[k] * psi_x[self._idx[k]]
-        return float(self.probs @ f_vals)
+        return float(self.probs @ product_table(psi_x[None], self.cfg.outer_weights)[0])
 
     def moment(self, fn) -> float:
         vals = np.array([fn(p) for p in self.points])
@@ -692,11 +684,9 @@ class CouplingOracle1D:
         self.y = data.y[:n]
         self.h = 2.0 / n_w
         self.w = -1.0 + (np.arange(n_w) + 0.5) * self.h
-        # network outputs for each grid w at each data row
-        psi = cfg.activation.psi(np.outer(self.w, self.X[:, 0]))
-        fvals = cfg.outer_weights[0] * psi  # (n_w, n)
-        res = self.y[None, :] - fvals
-        self.loss_vec = 0.5 * np.sum(res * res, axis=1)
+        # network outputs at each data row for each grid w
+        psi = cfg.activation.psi(np.outer(self.X[:, 0], self.w))  # (n, n_w)
+        self.loss_vec = 0.5 * _sq_residual_sums(self.y, product_table(psi, cfg.outer_weights))
         self.log_post = -params.beta * self.loss_vec
         self.sxx = float(np.sum(self.X[:, 0] ** 2))
         self.sd_T = math.sqrt(self.sxx / params.rho)

@@ -2,8 +2,11 @@
 
 Each suite returns a record with a pass flag and a measured margin, so the
 CLI can emit one line per suite and tests can assert on the same machinery.
-Suites are sized to run in seconds; the acceptance tests run the full-size
-versions.
+Suites are sized to run in seconds, and they are not the acceptance tests'
+runs: suite_hessian uses criterion 05's data but draws its weights from
+default_rng(17), where criterion 05 goes on drawing from the data's
+default_rng(5); suite_marginal runs 5 xi points of 2,500 steps on its own
+data, where criterion 06 runs 20 of 3,000.
 """
 
 from __future__ import annotations

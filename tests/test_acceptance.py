@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from lccnn.nnmodel import Dataset, NetworkConfig, eval_network_many, tanh_scaled
@@ -269,6 +270,7 @@ def _two_stage_worker(seed):
     return float(fvals.mean())
 
 
+@pytest.mark.slow
 def test_criterion_09_sampler_vs_oracle():
     t0 = time.time()
     cfg = NetworkConfig(K=1, d=2, V=1.0, activation=tanh_scaled())

@@ -121,7 +121,7 @@ class TestSample:
         from lccnn.coupling import check_logconcavity_conditions
         ec = ExperimentConfig.from_dict(SAMPLE_CONFIG)
         net = network_from_dict(ec.network)
-        data = _get_data(ec)
+        data, _ = _get_data(ec)
         report = check_logconcavity_conditions(net, data, 2.0, N=4)
         for key, val in report.as_dict().items():
             assert cert["condition_report"][key] == pytest.approx(val)
@@ -173,6 +173,12 @@ REGRET_CONFIG = {
 }
 
 
+BOUNDS_INPUTS = {"a0": 1.0, "a1": 1.0, "a2": 1.0, "V": 1.0, "b": 1.0,
+                 "sigma": 1.0, "C_N": 2.0, "d": 2, "N": 10_000, "M": 3,
+                 "K": 3, "beta": 1.0}
+BAD_CSV = "x1,x2,y\n1.0,0.5,0.1\n1.0,abc,0.2\n"
+
+
 @pytest.mark.parametrize("command, field, value", [
     ("regret", "seed", "abc"),
     ("regret", "prior.M", "abc"),
@@ -191,18 +197,33 @@ REGRET_CONFIG = {
     ("sample", "sampler.n_xi", "x"),
     ("sample", "sampler.n_xi", 0),
     ("sample", "network.d", 3),
+    ("sample", "network.signs", "x"),
+    ("sample", "network.K", 1.5),
+    ("regret", "beta.b", "x"),
+    pytest.param("sample", "data", {"path": "missing.csv"}, id="sample-data.path-missing"),
+    pytest.param("sample", "data", {"path": "bad.csv"}, id="sample-data.path-non-numeric"),
+    ("sample", "data.synthetic.N", 0),
+    ("sample", "data.synthetic.noise.sigma", "x"),
+    pytest.param("regret", "data.synthetic.g.weights", [[0.0, 1.0, 0.5]],
+                 id="regret-teacher-weights-shape"),  # the data have d = 2
+    ("sample", "sampler.outer.adapt_step", "no"),
+    ("bounds", "a0", "x"),
 ])
-def test_malformed_field_exits_2(tmp_path, capsys, command, field, value):
-    bad = json.loads(json.dumps(REGRET_CONFIG if command == "regret" else SAMPLE_CONFIG))
+def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
+    base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
+    bad = json.loads(json.dumps(base[command]))
     *path, key = field.split(".")
     node = bad
     for part in path:
         node = node[part]
     node[key] = value
     cfg_path = _write(tmp_path / "cfg.json", bad)
-    assert main(["--output-dir", str(tmp_path), command, "--config", cfg_path]) == 2
+    (tmp_path / "bad.csv").write_text(BAD_CSV)
+    monkeypatch.chdir(tmp_path)  # data paths in the configs are relative
+    flag = "--inputs" if command == "bounds" else "--config"
+    assert main(["--output-dir", str(tmp_path / "out"), command, flag, cfg_path]) == 2
     assert capsys.readouterr().err.startswith("config error:")
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestVerify:
@@ -218,9 +239,7 @@ class TestVerify:
 
 
 class TestBounds:
-    INPUTS = {"a0": 1.0, "a1": 1.0, "a2": 1.0, "V": 1.0, "b": 1.0,
-              "sigma": 1.0, "C_N": 2.0, "d": 2, "N": 10_000, "M": 3,
-              "K": 3, "beta": 1.0}
+    INPUTS = BOUNDS_INPUTS
 
     def test_table_and_closed_form(self, tmp_path, capsys):
         path = _write(tmp_path / "inputs.json", self.INPUTS)

@@ -9,10 +9,18 @@ from scipy import integrate, stats
 
 from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled
 from lccnn.priors import ContinuousL1Prior, sample_continuous
-from lccnn.coupling import CouplingParams, in_B, sample_xi_given_w
+from lccnn.coupling import (
+    CouplingParams,
+    in_B,
+    reverse_logdensity_unnorm,
+    reverse_score,
+    sample_xi_given_w,
+)
+from lccnn.estimators import _ENUM_LIMIT, _logsumexp
 from lccnn.samplers import (
     ChainConfig,
     CouplingOracle1D,
+    PosteriorQuadrature,
     SamplerError,
     TargetDensity,
     TwoStageBudgets,
@@ -21,6 +29,7 @@ from lccnn.samplers import (
     independence_chain,
     mala_chain,
     reference_posterior_quadrature,
+    reverse_conditional_target,
     sample_marginal_xi,
     sample_reverse_conditional,
     sample_reverse_conditional_prior_mh,
@@ -183,6 +192,27 @@ class TestReverseConditionalSampler:
             sample_reverse_conditional(cfg, data, params, xi_bad, chain)
 
 
+class TestReverseConditionalTarget:
+    @pytest.mark.parametrize("K, d, n", [(1, 2, 5), (2, 3, 5), (2, 150, 10)])
+    def test_fused_evaluation_matches_reverse_functions(self, K, d, n):
+        rng = np.random.default_rng(100 * K + d)
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
+        X = rng.uniform(-1, 1, size=(n, d))
+        X[:, 0] = 1.0
+        data = Dataset(X=X, y=rng.uniform(-1, 1, size=n))
+        params = CouplingParams.from_config(cfg, data, n=n, beta=0.8)
+        prior = ContinuousL1Prior(d=d, K=K)
+        for _ in range(20):
+            xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
+            target = reverse_conditional_target(cfg, data, params, xi)
+            w = sample_continuous(prior, rng)
+            logp, score = target.log_density_and_score(w.reshape(-1))
+            ref_logp = reverse_logdensity_unnorm(cfg, w, xi, data, params)
+            ref_score = reverse_score(cfg, w, xi, data, params)
+            assert abs(logp - ref_logp) <= 1e-12 * abs(ref_logp)
+            assert np.max(np.abs(score - ref_score)) <= 1e-12 * np.max(np.abs(ref_score))
+
+
 class TestIndependenceChain:
     def test_uniform_proposals_match_quadrature(self):
         # exp(-x^2) on [-1, 1] with proposals uniform over the support
@@ -252,6 +282,7 @@ class TestMarginalXi:
         se = sd / math.sqrt(max(diag.ess_estimate, 1.0))
         assert np.all(np.abs(est - quad_mean) <= 3.5 * se)
 
+    @pytest.mark.slow
     def test_nested_score_consistency(self):
         # estimated-score chain agrees with the exact-score chain within
         # combined Monte Carlo tolerance
@@ -308,6 +339,7 @@ class TestMarginalXi:
 
 
 class TestTwoStage:
+    @pytest.mark.slow
     def test_d1_kolmogorov_smirnov_vs_quadrature(self):
         cfg, data, params = _coupled_1d()
         oracle = CouplingOracle1D(cfg, data, params, n_w=2001, include_Z=False)
@@ -378,6 +410,23 @@ class TestQuadratureOracle:
         assert abs(rep["richardson"] - rep["values"]["finest"]) \
             < abs(rep["values"]["coarse"] - rep["values"]["finest"])
 
+    @pytest.mark.parametrize("K, d, r", [(1, 2, 60), (1, 3, 20), (3, 1, 25)])
+    def test_matches_gather_reference(self, K, d, r):
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
+        _, data = self._cfg_data(d=d, n=5, seed=K)
+        quad = PosteriorQuadrature(cfg, data, 5, 1.7, r)
+        ref = _quadrature_reference(cfg, data, 5, 1.7, r)
+        for name in ("probs", "log_density", "cell_volume", "points"):
+            assert np.array_equal(getattr(quad, name), ref[name])
+        assert quad.mean_f(data.X[1]) == ref["mean_f"](data.X[1])
+
+    def test_builds_past_the_enumeration_limit(self):
+        # the grid prior's enumeration limit does not bound the oracle
+        cfg, data = self._cfg_data(d=3)
+        quad = reference_posterior_quadrature(cfg, data, 4, beta=2.0, grid_resolution=101)
+        assert len(quad.probs) == 101 ** 3 > _ENUM_LIMIT
+        assert abs(quad.total_mass() - 1.0) < 1e-10
+
     def test_dimension_guard(self):
         cfg = NetworkConfig(K=2, d=2, V=1.0, activation=tanh_scaled())
         rng = np.random.default_rng(0)
@@ -409,6 +458,35 @@ def _row_grid_recursive(d, m, budget=1.0):
         pts += [np.concatenate([[w1], p]) for p in sub_pts]
         wts += [h * wt for wt in sub_wts]
     return pts, wts
+
+
+def _quadrature_reference(cfg, data, n, beta, r):
+    """Reference for PosteriorQuadrature: tables gathered through np.indices."""
+    row_pts, row_wts = _row_grid(cfg.d, r)
+    X, y = data.X[:n], data.y[:n]
+    psi_tab = cfg.activation.psi(row_pts @ X.T)  # (m, n)
+    idx = np.indices((len(row_pts),) * cfg.K).reshape(cfg.K, -1)  # (K, m^K)
+    f_tab = np.zeros((idx.shape[1], n))
+    log_wt = np.zeros(idx.shape[1])
+    for k in range(cfg.K):
+        f_tab += cfg.outer_weights[k] * psi_tab[idx[k]]
+        log_wt += np.log(row_wts[idx[k]])
+    res = y[None, :] - f_tab
+    log_density = -0.5 * beta * np.sum(res * res, axis=1)
+    log_density -= _logsumexp(log_density + log_wt)
+    cell_volume = np.exp(log_wt)
+    probs = np.exp(log_density) * cell_volume
+
+    def mean_f(x):
+        psi_x = cfg.activation.psi(row_pts @ x)
+        f_vals = np.zeros(idx.shape[1])
+        for k in range(cfg.K):
+            f_vals += cfg.outer_weights[k] * psi_x[idx[k]]
+        return float(probs @ f_vals)
+
+    return {"probs": probs, "log_density": log_density, "cell_volume": cell_volume,
+            "points": np.stack([row_pts[idx[k]] for k in range(cfg.K)], axis=1),
+            "mean_f": mean_f}
 
 
 class TestRowGrid:
