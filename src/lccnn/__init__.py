@@ -62,12 +62,10 @@ from .samplers import (
     independence_chain,
     mala_chain,
     quadrature_convergence_report,
-    reference_posterior_quadrature,
     sample_marginal_xi,
     sample_reverse_conditional,
     sample_reverse_conditional_prior_mh,
     two_stage_sample,
-    write_chain_jsonl,
 )
 from .estimators import (
     PosteriorSnapshot,

@@ -31,7 +31,7 @@ from .risk import (BoundInputs, RegretLedger, bound_calculator, optimal_hyperpar
 # them up in this module (the benchmark's per-layer tracer wraps both)
 from .estimators import sequential_discrete_posteriors  # noqa: F401
 from .risk import regret_ledger  # noqa: F401
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 ENV_OUT_DIR = "LCCNN_OUT_DIR"
 
@@ -69,6 +69,13 @@ def _integer(value, where: str, minimum: int) -> int:
     if not integral or out < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return out
+
+
+def _boolean(value, where: str) -> bool:
+    """value itself, or a ConfigError unless it is a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -116,14 +123,13 @@ def chain_from_dict(d: dict, where: str) -> dict:
 
 
 def _chain_cfg(d: dict, seed: int, where: str) -> ChainConfig:
-    adapt_step = d.get("adapt_step", True)
-    if not isinstance(adapt_step, bool):
-        raise ConfigError(f"{where}.adapt_step must be true or false, got {adapt_step!r}")
-    try:
-        return ChainConfig(step_size=float(d["step_size"]), iterations=int(d["iterations"]),
-                           burn_in=int(d.get("burn_in", 0)),
-                           thinning=int(d.get("thinning", 1)),
-                           seed=seed, adapt_step=adapt_step)
+    try:  # a ConfigError is a ValueError: its message gains the where prefix
+        return ChainConfig(step_size=float(d["step_size"]),
+                           iterations=_integer(d["iterations"], "iterations", 1),
+                           burn_in=_integer(d.get("burn_in", 0), "burn_in", 0),
+                           thinning=_integer(d.get("thinning", 1), "thinning", 1),
+                           seed=seed, adapt_step=_boolean(d.get("adapt_step", True),
+                                                          "adapt_step"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -450,7 +456,7 @@ def cmd_verify(args) -> int:
     bad = [n for n in names if n not in SUITES]
     if bad:
         raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
-    results = run_suites(names)
+    results = [SUITES[n]() for n in names]
     failures = 0
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
@@ -470,12 +476,12 @@ def cmd_bounds(args) -> int:
     spec = _take(raw, {k: True for k in ("a0", "a1", "a2", "V", "b", "sigma",
                                          "C_N", "d", "N", "M", "K", "beta")}
                  | {"non_odd": False}, "bound inputs")
-    non_odd = bool(spec.pop("non_odd", False))
+    non_odd = _boolean(spec.pop("non_odd", False), "non_odd")
     try:
         inputs = BoundInputs(a0=spec["a0"], a1=spec["a1"], a2=spec["a2"], V=spec["V"],
                              b=spec["b"], sigma=spec["sigma"], C_N=spec["C_N"],
-                             d=int(spec["d"]), N=int(spec["N"]), M=spec["M"],
-                             K=spec["K"], beta=spec["beta"])
+                             d=_integer(spec["d"], "d", 2), N=_integer(spec["N"], "N", 1),
+                             M=spec["M"], K=spec["K"], beta=spec["beta"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     hash_ = config_hash(raw)

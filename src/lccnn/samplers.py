@@ -24,7 +24,6 @@ proposals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,7 +39,7 @@ from .coupling import (
     reverse_score,
     stacked_projection,
 )
-from .estimators import _logsumexp, _sq_residual_sums, product_points, product_table
+from .estimators import _logsumexp, _sq_residual_sums, product_table
 
 __all__ = [
     "SamplerError",
@@ -57,11 +56,9 @@ __all__ = [
     "TwoStageBudgets",
     "two_stage_sample",
     "PosteriorQuadrature",
-    "reference_posterior_quadrature",
     "quadrature_convergence_report",
     "CouplingOracle1D",
     "ess_estimate",
-    "write_chain_jsonl",
 ]
 
 
@@ -225,13 +222,13 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
     eps > 0, dual averaging targets acceptance 0.574 during burn-in and the
     step size is frozen afterwards (kernels without a step size pass 0).
 
-    Returns (points, statistics, running acceptance, final state,
-    diagnostics); the arrays hold one entry per retained step.
+    Returns (points, statistics, final state, diagnostics); the arrays hold
+    one entry per retained step.
     """
     adapter = _DualAveraging(eps) if cfg.adapt_step and eps > 0 else None
     burn_in, thinning = cfg.burn_in, cfg.thinning
-    kept, kept_stat, kept_accept = [], [], []
-    accepts = post_accepts = support_rejections = 0
+    kept, kept_stat = [], []
+    post_accepts = support_rejections = 0
     chain_rng = ChainRng(cfg.seed, chain_id)
     for step in range(cfg.iterations):
         rng = chain_rng.at(step)
@@ -245,7 +242,6 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
                 alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
             if rng.uniform() < alpha:
                 state = prop
-                accepts += 1
                 if step >= burn_in:
                     post_accepts += 1
         if adapter is not None and step <= burn_in:
@@ -253,7 +249,6 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
         if step >= burn_in and (step - burn_in) % thinning == 0:
             kept.append(state[0].copy())
             kept_stat.append(state[1])
-            kept_accept.append(accepts / (step + 1))
 
     points = np.array(kept)
     diag = ChainDiagnostics(
@@ -262,7 +257,7 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
         support_rejections=support_rejections,
         _draws=points.reshape(len(points), -1),
     )
-    return points, np.array(kept_stat), np.array(kept_accept), state, diag
+    return points, np.array(kept_stat), state, diag
 
 
 def _langevin_correction(x, prop, grad, grad_prop, eps: float) -> float:
@@ -281,7 +276,7 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     acceptance 0.574 during burn-in and the step size is frozen afterwards.
 
     Returns (samples, diagnostics); diagnostics.extras carries the kept-step
-    log densities and running acceptance snapshots.
+    log densities.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != target.dimension:
@@ -304,9 +299,9 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
         return ((prop, logp_prop, grad_prop),
                 logp_prop - logp + _langevin_correction(x, prop, grad, grad_prop, eps))
 
-    samples, logd, running, _, diag = _metropolis(kernel, cfg, (x, logp, grad),
-                                                  chain_id, cfg.step_size)
-    diag.extras = {"log_density": logd, "running_acceptance": running}
+    samples, logd, _, diag = _metropolis(kernel, cfg, (x, logp, grad), chain_id,
+                                         cfg.step_size)
+    diag.extras = {"log_density": logd}
     return samples, diag
 
 
@@ -330,8 +325,8 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
         logp_prop = target.log_density(prop)
         return (prop, logp_prop), logp_prop - state[1]
 
-    samples, logd, _, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
-                                            chain_id, 0.0)
+    samples, logd, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
+                                         chain_id, 0.0)
     diag.extras = {"log_density": logd}
     return samples, diag
 
@@ -499,8 +494,8 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
             xi.ravel(), prop.ravel(), score.ravel(), new[2].ravel(), eps)
 
     state = evaluate(xi, (chain_id + 1) * 10_000_000, w_init)
-    samples, se, _, state, diag = _metropolis(kernel, outer_cfg, state, chain_id,
-                                              outer_cfg.step_size)
+    samples, se, state, diag = _metropolis(kernel, outer_cfg, state, chain_id,
+                                           outer_cfg.step_size)
     diag.extras = {"inner_score_se": se, "final_inner_state": state[4]}
     return samples, diag
 
@@ -587,15 +582,13 @@ def _row_grid(d: int, m: int):
 
 class PosteriorQuadrature:
     """Tabulated posterior over (S^d_1)^K on the K-fold product of the _row_grid
-    nodes, in estimators.product_table's layout; points is built on first read."""
+    nodes, in estimators.product_table's layout."""
 
     def __init__(self, cfg: NetworkConfig, data: Dataset, n: int, beta: float,
                  grid_resolution: int):
         if cfg.K * cfg.d > 3:
             raise ValueError("quadrature oracle requires K*d <= 3")
         self.cfg = cfg
-        self.n = n
-        self.beta = beta
         self._row_pts, row_wts = _row_grid(cfg.d, grid_resolution)
         f = product_table(cfg.activation.psi(self._row_pts @ data.X[:n].T).T,
                           cfg.outer_weights)  # (n, m^K)
@@ -606,36 +599,12 @@ class PosteriorQuadrature:
         self.cell_volume = np.exp(log_wt)
         self.probs = np.exp(self.log_density) * self.cell_volume
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The (m^K, K, d) nodes."""
-        return product_points(self._row_pts, self.cfg.K)
-
     def total_mass(self) -> float:
         return float(self.probs.sum())
-
-    def mean_w(self) -> np.ndarray:
-        return np.einsum("p,pkd->kd", self.probs, self.points)
 
     def mean_f(self, x: np.ndarray) -> float:
         psi_x = self.cfg.activation.psi(self._row_pts @ np.asarray(x))
         return float(self.probs @ product_table(psi_x[None], self.cfg.outer_weights)[0])
-
-    def moment(self, fn) -> float:
-        vals = np.array([fn(p) for p in self.points])
-        return float(self.probs @ vals)
-
-    def coordinate_cdf(self, k: int = 0, j: int = 0):
-        """Marginal CDF of w_{k,j} on its grid (for distribution tests)."""
-        coords = self.points[:, k, j]
-        order = np.argsort(coords, kind="stable")
-        return coords[order], np.cumsum(self.probs[order])
-
-
-def reference_posterior_quadrature(cfg: NetworkConfig, data: Dataset, n: int,
-                                   beta: float, grid_resolution: int = 200) -> PosteriorQuadrature:
-    """Normalized posterior table over a regular grid; K*d <= 3 only."""
-    return PosteriorQuadrature(cfg, data, n, beta, grid_resolution)
 
 
 def quadrature_convergence_report(cfg: NetworkConfig, data: Dataset, n: int,
@@ -765,23 +734,3 @@ class CouplingOracle1D:
             if p > 0.0:
                 out += p * self.conditional_density(xi)
         return out
-
-
-def write_chain_jsonl(path, samples, diagnostics: ChainDiagnostics, meta: dict = None):
-    """One JSON record per retained sample: vector, log-density, step, snapshot."""
-    logd = diagnostics.extras.get("log_density")
-    run_acc = diagnostics.extras.get("running_acceptance")
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for i, s in enumerate(np.asarray(samples).reshape(len(samples), -1)):
-            rec = {
-                "step": i,
-                "sample": [float(v) for v in s],
-                "log_density": float(logd[i]) if logd is not None and i < len(logd) else None,
-                "diagnostics": {
-                    "running_acceptance": float(run_acc[i]) if run_acc is not None and i < len(run_acc) else None,
-                    "step_size": diagnostics.final_step_size,
-                },
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -19,6 +19,7 @@ from lccnn.cli import (
 from lccnn.estimators import product_f_table, sequential_discrete_posteriors
 from lccnn.priors import DiscreteGridPrior, enumerate_grid
 from lccnn.risk import regret_ledger, streamed_regret_ledger
+from lccnn.verify import SUITES
 
 
 def _write(path, obj):
@@ -207,7 +208,11 @@ BAD_CSV = "x1,x2,y\n1.0,0.5,0.1\n1.0,abc,0.2\n"
     pytest.param("regret", "data.synthetic.g.weights", [[0.0, 1.0, 0.5]],
                  id="regret-teacher-weights-shape"),  # the data have d = 2
     ("sample", "sampler.outer.adapt_step", "no"),
+    ("sample", "sampler.outer.iterations", 100.7),
     ("bounds", "a0", "x"),
+    ("bounds", "d", 2.5),
+    ("bounds", "N", 0),
+    ("bounds", "non_odd", "no"),
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -236,6 +241,19 @@ class TestVerify:
 
     def test_unknown_selector(self):
         assert main(["verify", "nope"]) == 2
+
+    def test_all_suites_pass(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", name] for name in SUITES]
+
+    def test_failing_suite_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "telescope", lambda: {
+            "suite": "telescope", "passed": False, "margin": -1.0, "detail": ""})
+        assert main(["verify", "telescope"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL telescope")
+        assert captured.err.startswith("verification failure:")
 
 
 class TestBounds:

@@ -1,6 +1,5 @@
 """Chain kernels, nested sampler vs quadrature oracles, determinism."""
 
-import json
 import math
 
 import numpy as np
@@ -28,14 +27,12 @@ from lccnn.samplers import (
     ess_estimate,
     independence_chain,
     mala_chain,
-    reference_posterior_quadrature,
     reverse_conditional_target,
     sample_marginal_xi,
     sample_reverse_conditional,
     sample_reverse_conditional_prior_mh,
     step_rng,
     two_stage_sample,
-    write_chain_jsonl,
 )
 
 
@@ -388,15 +385,13 @@ class TestQuadratureOracle:
 
     def test_beta_zero_recovers_uniform(self):
         cfg, data = self._cfg_data()
-        quad = reference_posterior_quadrature(cfg, data, 4, beta=0.0,
-                                              grid_resolution=40)
+        quad = PosteriorQuadrature(cfg, data, 4, beta=0.0, grid_resolution=40)
         dens = np.exp(quad.log_density)
         assert np.max(np.abs(dens - dens[0])) < 1e-12 * dens[0]
 
     def test_normalization(self):
         cfg, data = self._cfg_data()
-        quad = reference_posterior_quadrature(cfg, data, 4, beta=2.0,
-                                              grid_resolution=60)
+        quad = PosteriorQuadrature(cfg, data, 4, beta=2.0, grid_resolution=60)
         assert abs(quad.total_mass() - 1.0) < 1e-10
 
     def test_second_order_convergence(self):
@@ -416,14 +411,14 @@ class TestQuadratureOracle:
         _, data = self._cfg_data(d=d, n=5, seed=K)
         quad = PosteriorQuadrature(cfg, data, 5, 1.7, r)
         ref = _quadrature_reference(cfg, data, 5, 1.7, r)
-        for name in ("probs", "log_density", "cell_volume", "points"):
+        for name in ("probs", "log_density", "cell_volume"):
             assert np.array_equal(getattr(quad, name), ref[name])
         assert quad.mean_f(data.X[1]) == ref["mean_f"](data.X[1])
 
     def test_builds_past_the_enumeration_limit(self):
         # the grid prior's enumeration limit does not bound the oracle
         cfg, data = self._cfg_data(d=3)
-        quad = reference_posterior_quadrature(cfg, data, 4, beta=2.0, grid_resolution=101)
+        quad = PosteriorQuadrature(cfg, data, 4, beta=2.0, grid_resolution=101)
         assert len(quad.probs) == 101 ** 3 > _ENUM_LIMIT
         assert abs(quad.total_mass() - 1.0) < 1e-10
 
@@ -434,7 +429,7 @@ class TestQuadratureOracle:
         X[:, 0] = 1.0
         data = Dataset(X=X, y=np.zeros(3))
         with pytest.raises(ValueError, match="K\\*d"):
-            reference_posterior_quadrature(cfg, data, 3, 1.0, 10)
+            PosteriorQuadrature(cfg, data, 3, 1.0, 10)
 
     def test_mixture_oracle_xi_sampling_consistency(self):
         # forward draws land in the high-mass region of the oracle marginal
@@ -485,7 +480,6 @@ def _quadrature_reference(cfg, data, n, beta, r):
         return float(probs @ f_vals)
 
     return {"probs": probs, "log_density": log_density, "cell_volume": cell_volume,
-            "points": np.stack([row_pts[idx[k]] for k in range(cfg.K)], axis=1),
             "mean_f": mean_f}
 
 
@@ -519,17 +513,3 @@ class TestEssAndJsonl:
         for i in range(1, 4000):
             x[i] = 0.95 * x[i - 1] + rng.standard_normal()
         assert ess_estimate(x) < 400
-
-    def test_jsonl_round_trip(self, tmp_path):
-        cfg = ChainConfig(step_size=0.5, iterations=500, burn_in=100,
-                          thinning=10, seed=3)
-        samples, diag = mala_chain(_gaussian_target(2), cfg, np.zeros(2))
-        path = tmp_path / "chain.jsonl"
-        write_chain_jsonl(path, samples, diag, meta={"seed": 3})
-        lines = path.read_text().strip().split("\n")
-        assert json.loads(lines[0])["meta"]["seed"] == 3
-        rec = json.loads(lines[1])
-        assert rec["step"] == 0
-        assert np.allclose(rec["sample"], samples[0])
-        assert rec["log_density"] is not None
-        assert "running_acceptance" in rec["diagnostics"]
