@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class OracleError(RuntimeError):
 
 def _take(d: dict, allowed: dict, where: str) -> dict:
     """Validate keys of d against allowed {key: required} and return a copy."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -60,15 +62,12 @@ def _take(d: dict, allowed: dict, where: str) -> dict:
 
 
 def _integer(value, where: str, minimum: int) -> int:
-    """value as an int, or a ConfigError unless it is an integer >= minimum."""
-    try:
-        out = int(value)
-        integral = isinstance(value, str) or out == value
-    except (TypeError, ValueError):
-        integral = False
-    if not integral or out < minimum:
+    """value as an int, or a ConfigError unless it is an integral JSON number
+    >= minimum (2.0 counts as 2)."""
+    if not (type(value) is int or type(value) is float and value.is_integer()) \
+            or value < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
-    return out
+    return int(value)
 
 
 def _boolean(value, where: str) -> bool:
@@ -79,22 +78,29 @@ def _boolean(value, where: str) -> bool:
 
 
 def _number(value, where: str) -> float:
-    """value as a float, or a ConfigError unless it is a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    """value as a float, or a ConfigError unless it is a finite JSON number."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value, where: str) -> str:
+    """value itself, or a ConfigError unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def activation_from_dict(d: dict) -> Activation:
     d = _take(d, {"kind": True, "a": False, "c": False}, "activation")
     kind = d["kind"]
+    a = _number(d.get("a", 1.0), "activation.a")
     if kind == "tanh":
-        return tanh_scaled(a=float(d.get("a", 1.0)), c=float(d.get("c", 1.0)))
+        return tanh_scaled(a=a, c=_number(d.get("c", 1.0), "activation.c"))
     if kind == "squared_relu":
         if "c" in d:
             raise ConfigError("squared_relu takes no 'c' parameter")
-        return squared_relu(a=float(d.get("a", 1.0)))
+        return squared_relu(a=a)
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 
@@ -108,41 +114,50 @@ def network_from_dict(d: dict) -> NetworkConfig:
     d = _take(d, {"K": True, "d": True, "V": True, "activation": True, "signs": False},
               "network")
     try:
-        signs = np.asarray(d["signs"], dtype=float) if "signs" in d else None
+        signs = [_number(s, "network.signs") for s in d["signs"]] if "signs" in d else None
         return NetworkConfig(K=_integer(d["K"], "network.K", 1),
-                             d=_integer(d["d"], "network.d", 1), V=float(d["V"]),
+                             d=_integer(d["d"], "network.d", 1),
+                             V=_number(d["V"], "network.V"),
                              activation=activation_from_dict(d["activation"]),
                              signs=signs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def chain_from_dict(d: dict, where: str) -> dict:
-    return _take(d, {"step_size": True, "iterations": True, "burn_in": False,
-                     "thinning": False, "adapt_step": False}, where)
-
-
-def _chain_cfg(d: dict, seed: int, where: str) -> ChainConfig:
+def _chain_cfg(d: dict, where: str) -> ChainConfig:
+    """A chain section as a ChainConfig with seed 0; the run's seed is set on use."""
+    d = _take(d, {"step_size": True, "iterations": True, "burn_in": False,
+                  "thinning": False, "adapt_step": False}, where)
     try:  # a ConfigError is a ValueError: its message gains the where prefix
-        return ChainConfig(step_size=float(d["step_size"]),
+        return ChainConfig(step_size=_number(d["step_size"], "step_size"),
                            iterations=_integer(d["iterations"], "iterations", 1),
                            burn_in=_integer(d.get("burn_in", 0), "burn_in", 0),
                            thinning=_integer(d.get("thinning", 1), "thinning", 1),
-                           seed=seed, adapt_step=_boolean(d.get("adapt_step", True),
-                                                          "adapt_step"))
-    except (TypeError, ValueError) as exc:
+                           adapt_step=_boolean(d.get("adapt_step", True), "adapt_step"))
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+_DEFAULT_CHAINS = {
+    "outer": ChainConfig(step_size=0.2, iterations=1200, burn_in=400, thinning=2),
+    "inner": ChainConfig(step_size=0.1, iterations=220, burn_in=60, thinning=1),
+    "conditional": ChainConfig(step_size=0.1, iterations=300, burn_in=100, thinning=20),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment file; as_dict round-trips losslessly."""
+    """Parsed experiment file, each field checked once and stored typed (data and
+    beta stay dicts for synthesize and resolve_beta); as_dict rebuilds raw."""
 
-    network: dict
-    prior: dict
+    network: NetworkConfig
+    prior_kind: str
+    M: int
     data: dict
     beta: dict
-    sampler: dict
+    chains: dict
+    n: int = None
+    n_xi: int = None
     seed: int = 0
     output_dir: str = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -152,46 +167,46 @@ class ExperimentConfig:
         top = _take(d, {"network": True, "prior": True, "data": True, "beta": True,
                         "sampler": False, "seed": False, "output_dir": False},
                     "experiment config")
-        network_from_dict(top["network"])  # validate now, reparse on use
         prior = _take(top["prior"], {"kind": True, "M": False}, "prior")
         if prior["kind"] not in ("continuous", "discrete"):
             raise ConfigError("prior.kind must be 'continuous' or 'discrete'")
         if prior["kind"] == "discrete" and "M" not in prior:
             raise ConfigError("discrete prior requires M")
-        if "M" in prior:
-            _integer(prior["M"], "prior.M", 1)
         data = _take(top["data"], {"path": False, "synthetic": False}, "data")
         if ("path" in data) == ("synthetic" in data):
             raise ConfigError("data needs exactly one of 'path' or 'synthetic'")
+        if "path" in data:
+            _string(data["path"], "data.path")
         beta = _take(top["beta"], {"mode": True, "value": False, "b": False}, "beta")
         if beta["mode"] not in ("fixed", "fourth-root"):
             raise ConfigError("beta.mode must be 'fixed' or 'fourth-root'")
         if beta["mode"] == "fixed":
             if "value" not in beta:
                 raise ConfigError("fixed beta requires a value")
-            if not 0.0 < _number(beta["value"], "fixed beta") < math.inf:
+            if not _number(beta["value"], "fixed beta") > 0.0:
                 raise ConfigError(f"fixed beta must be a positive number, got {beta['value']!r}")
         if "b" in beta and not _number(beta["b"], "beta.b") >= 0.0:
             raise ConfigError(f"beta.b must be a nonnegative number, got {beta['b']!r}")
-        sampler = top.get("sampler", {})
-        sampler = _take(sampler, {"outer": False, "inner": False, "conditional": False,
-                                  "n": False, "n_xi": False}, "sampler")
-        for key in ("outer", "inner", "conditional"):
-            if key in sampler:
-                where = f"sampler.{key}"
-                _chain_cfg(chain_from_dict(sampler[key], where), 0, where)
-        for key in ("n", "n_xi"):  # null means the default
-            if sampler.get(key) is not None:
-                _integer(sampler[key], f"sampler.{key}", 1)
-        return cls(network=top["network"], prior=prior, data=data, beta=beta,
-                   sampler=sampler, seed=_integer(top.get("seed", 0), "seed", 0),
-                   output_dir=top.get("output_dir"), raw=d)
+        sampler = _take(top.get("sampler", {}), {"outer": False, "inner": False,
+                                                 "conditional": False, "n": False,
+                                                 "n_xi": False}, "sampler")
+        chains = {key: _chain_cfg(sampler[key], f"sampler.{key}") if key in sampler
+                  else default for key, default in _DEFAULT_CHAINS.items()}
+        # null n or n_xi means the default
+        n, n_xi = (None if sampler.get(key) is None
+                   else _integer(sampler[key], f"sampler.{key}", 1) for key in ("n", "n_xi"))
+        output_dir = top.get("output_dir")
+        return cls(network=network_from_dict(top["network"]), prior_kind=prior["kind"],
+                   M=_integer(prior["M"], "prior.M", 1) if "M" in prior else None,
+                   data=data, beta=beta, chains=chains, n=n, n_xi=n_xi,
+                   seed=_integer(top.get("seed", 0), "seed", 0),
+                   output_dir=None if output_dir is None else _string(output_dir, "output_dir"),
+                   raw=d)
 
     def as_dict(self) -> dict:
-        out = {"network": self.network, "prior": self.prior, "data": self.data,
-               "beta": self.beta}
-        if self.sampler:
-            out["sampler"] = self.sampler
+        out = {key: self.raw[key] for key in ("network", "prior", "data", "beta")}
+        if self.raw.get("sampler"):
+            out["sampler"] = self.raw["sampler"]
         if "seed" in self.raw or self.seed != 0:
             out["seed"] = self.seed
         if self.output_dir is not None:
@@ -210,12 +225,13 @@ def experiment_hash(ec: "ExperimentConfig") -> str:
     return config_hash(d)
 
 
-def resolve_beta(beta_cfg: dict, cfg: NetworkConfig, data: Dataset, N: int,
-                 b: float = None) -> float:
+def resolve_beta(beta_cfg: dict, cfg: NetworkConfig, data: Dataset, N: int) -> float:
+    """The fixed beta, or the square-regret optimum beta* at sample size N with
+    b = beta.b, else a0 V."""
     if beta_cfg["mode"] == "fixed":
         return float(beta_cfg["value"])
     act = cfg.activation
-    b_val = float(beta_cfg.get("b", b if b is not None else act.a0 * cfg.V))
+    b_val = float(beta_cfg.get("b", act.a0 * cfg.V))
     C_N = float(np.max(np.abs(data.y[:N]))) + act.a0 * cfg.V if N else act.a0 * cfg.V
     inputs = BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V, b=b_val,
                          sigma=1.0, C_N=C_N, d=max(cfg.d, 2), N=max(N, 1),
@@ -281,7 +297,7 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
     X = rng.uniform(-1.0, 1.0, size=(N, d))
     X[:, 0] = 1.0
 
-    g_spec = dict(spec["g"])
+    g_spec = dict(spec["g"]) if isinstance(spec["g"], dict) else {}
     kind = g_spec.pop("kind", None)
     teacher_meta = {"kind": kind}
     if kind == "teacher":
@@ -311,7 +327,7 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
         g_vals = amp * np.cos(math.pi * freq * X.mean(axis=1))
         teacher_meta.update({"amplitude": amp, "frequency": freq})
     else:
-        raise ConfigError("g.kind must be 'teacher' or 'cosine'")
+        raise ConfigError("g must be an object of kind 'teacher' or 'cosine'")
 
     noise = _take(spec["noise"], {"kind": True, "sigma": False, "range": False}, "noise")
     nkind = noise["kind"]
@@ -323,6 +339,8 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
         teacher_meta["sigma"] = sigma
     elif nkind == "bounded":
         r = _number(noise.get("range", 1.0), "noise.range")
+        if r < 0.0:
+            raise ConfigError(f"noise.range must be >= 0, got {r!r}")
         y = g_vals + rng.uniform(-r, r, size=N)
         teacher_meta["range"] = r
     else:
@@ -372,13 +390,12 @@ def _load_experiment(args, prior_kind: str) -> tuple:
         ec.seed = args.seed
     if args.output_dir:
         ec.output_dir = args.output_dir
-    if ec.prior["kind"] != prior_kind:
+    if ec.prior_kind != prior_kind:
         raise ConfigError(f"lccnn {args.command} requires the {prior_kind} prior")
-    cfg = network_from_dict(ec.network)
     data, g_vals = _get_data(ec)
-    if data.d != cfg.d:
-        raise ConfigError(f"network.d = {cfg.d} but the data have {data.d} columns")
-    return ec, cfg, data, g_vals
+    if data.d != ec.network.d:
+        raise ConfigError(f"network.d = {ec.network.d} but the data have {data.d} columns")
+    return ec, ec.network, data, g_vals
 
 
 def _out_path(args, name):
@@ -387,32 +404,19 @@ def _out_path(args, name):
     return os.path.join(base, name)
 
 
-_DEFAULT_CHAINS = {
-    "outer": {"step_size": 0.2, "iterations": 1200, "burn_in": 400, "thinning": 2},
-    "inner": {"step_size": 0.1, "iterations": 220, "burn_in": 60, "thinning": 1},
-    "conditional": {"step_size": 0.1, "iterations": 300, "burn_in": 100, "thinning": 20},
-}
-
-
 def cmd_sample(args) -> int:
     ec, cfg, data, _ = _load_experiment(args, "continuous")
     if data.N == 0:
         raise ConfigError("the sampler needs at least one data point")
-    n = data.N if ec.sampler.get("n") is None else int(ec.sampler["n"])
+    n = data.N if ec.n is None else ec.n
     if n > data.N:
         raise ConfigError(f"sampler.n = {n} exceeds the {data.N} data points")
     beta = resolve_beta(ec.beta, cfg, data, n)
     params = CouplingParams.from_config(cfg, data, n=n, beta=beta)
     report = check_logconcavity_conditions(cfg, data, beta, N=n)
 
-    chains = {}
-    for key in ("outer", "inner", "conditional"):
-        chains[key] = _chain_cfg(ec.sampler.get(key, _DEFAULT_CHAINS[key]), ec.seed,
-                                 f"sampler.{key}")
-    budgets = TwoStageBudgets(outer=chains["outer"], inner=chains["inner"],
-                              conditional=chains["conditional"],
-                              n_xi=None if ec.sampler.get("n_xi") is None
-                              else int(ec.sampler["n_xi"]))
+    chains = {key: replace(chain, seed=ec.seed) for key, chain in ec.chains.items()}
+    budgets = TwoStageBudgets(**chains, n_xi=ec.n_xi)
     draws, tags, diag = two_stage_sample(cfg, data, params, budgets)
 
     hash_ = experiment_hash(ec)
@@ -473,43 +477,43 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     raw = _load_json(args.inputs)
-    spec = _take(raw, {k: True for k in ("a0", "a1", "a2", "V", "b", "sigma",
-                                         "C_N", "d", "N", "M", "K", "beta")}
-                 | {"non_odd": False}, "bound inputs")
+    numbers = ("a0", "a1", "a2", "V", "b", "sigma", "C_N", "M", "K", "beta")
+    spec = _take(raw, dict.fromkeys(numbers + ("d", "N"), True) | {"non_odd": False},
+                 "bound inputs")
     non_odd = _boolean(spec.pop("non_odd", False), "non_odd")
-    try:
-        inputs = BoundInputs(a0=spec["a0"], a1=spec["a1"], a2=spec["a2"], V=spec["V"],
-                             b=spec["b"], sigma=spec["sigma"], C_N=spec["C_N"],
-                             d=_integer(spec["d"], "d", 2), N=_integer(spec["N"], "N", 1),
-                             M=spec["M"], K=spec["K"], beta=spec["beta"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key in numbers:  # checked, but kept as given: kl prints beta back
+        _number(spec[key], key)
+    spec.update(d=_integer(spec["d"], "d", 2), N=_integer(spec["N"], "N", 1))
     hash_ = config_hash(raw)
     rows = []
     lines = [f"bound report (config hash {hash_})"]
-    for kind in ("log_regret", "square_regret", "msr", "kl", "m2_msr"):
-        br = bound_calculator(kind, inputs, non_odd=non_odd)
-        row = {"kind": kind, **{k: v for k, v in br.as_dict().items() if k != "kind"}}
-        if kind != "log_regret":
-            opt = optimal_hyperparams(kind, inputs)
-            row.update({"beta_star": opt.beta_star, "K_star": opt.K_star,
-                        "M_star": opt.M_star, "bound_at_opt": opt.bound_continuous,
-                        "closed_form": opt.closed_form})
-        rows.append(row)
-        lines.append(f"  {kind}: total={br.total!r}")
-        for term in ("prior_mass", "width", "grid", "beta_quad", "residual"):
-            lines.append(f"    {term:<11} {getattr(br, term)!r}")
-        for w in br.warnings:
-            lines.append(f"    warning: {w}")
-    # monotonicity spot rows: each control knob doubled moves its term down
-    for label, kwargs in (("N_doubled", {"N": inputs.N * 2}),
-                          ("K_doubled", {"K": inputs.K * 2}),
-                          ("M_doubled", {"M": inputs.M * 2})):
-        alt = BoundInputs(**{**inputs.__dict__, **kwargs})
-        br = bound_calculator("square_regret", alt, non_odd=non_odd)
-        rows.append({"kind": f"square_regret[{label}]",
-                     **{k: v for k, v in br.as_dict().items() if k != "kind"}})
-        lines.append(f"  square_regret[{label}]: total={br.total!r}")
+    try:  # zero divisors are refused, but an extreme input can over- or underflow a term
+        inputs = BoundInputs(**spec)
+        for kind in ("log_regret", "square_regret", "msr", "kl", "m2_msr"):
+            br = bound_calculator(kind, inputs, non_odd=non_odd)
+            row = {"kind": kind, **{k: v for k, v in br.as_dict().items() if k != "kind"}}
+            if kind != "log_regret":
+                opt = optimal_hyperparams(kind, inputs)
+                row.update({"beta_star": opt.beta_star, "K_star": opt.K_star,
+                            "M_star": opt.M_star, "bound_at_opt": opt.bound_continuous,
+                            "closed_form": opt.closed_form})
+            rows.append(row)
+            lines.append(f"  {kind}: total={br.total!r}")
+            for term in ("prior_mass", "width", "grid", "beta_quad", "residual"):
+                lines.append(f"    {term:<11} {getattr(br, term)!r}")
+            for w in br.warnings:
+                lines.append(f"    warning: {w}")
+        # monotonicity spot rows: each control knob doubled moves its term down
+        for label, kwargs in (("N_doubled", {"N": inputs.N * 2}),
+                              ("K_doubled", {"K": inputs.K * 2}),
+                              ("M_doubled", {"M": inputs.M * 2})):
+            alt = BoundInputs(**{**inputs.__dict__, **kwargs})
+            br = bound_calculator("square_regret", alt, non_odd=non_odd)
+            rows.append({"kind": f"square_regret[{label}]",
+                         **{k: v for k, v in br.as_dict().items() if k != "kind"}})
+            lines.append(f"  square_regret[{label}]: total={br.total!r}")
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bound inputs: {exc}") from exc
 
     out_csv = _out_path(args, f"bounds_{hash_}.csv")
     _write_csv(out_csv, sorted({k for row in rows for k in row if k != "warnings"}), rows)
@@ -541,7 +545,7 @@ def cmd_regret(args) -> int:
         return 0
 
     try:
-        prior = DiscreteGridPrior(d=cfg.d, M=int(ec.prior["M"]), K=cfg.K)
+        prior = DiscreteGridPrior(d=cfg.d, M=ec.M, K=cfg.K)
         grid = enumerate_grid(prior)
         _, f_rows = product_f_table(cfg, grid, data.X)
     except ValueError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nnmodel import Dataset, NetworkConfig
+from .priors import DEFAULT_ENUMERATION_LIMIT
 
 __all__ = [
     "PosteriorSnapshot",
@@ -35,9 +36,6 @@ __all__ = [
     "export_snapshot",
     "load_snapshot_table",
 ]
-
-_ENUM_LIMIT = 10 ** 6
-
 
 def _logsumexp(v):
     v = np.asarray(v, dtype=float)
@@ -139,8 +137,9 @@ def product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
     """
     m = len(grid)
     P = m ** cfg.K
-    if P > _ENUM_LIMIT:
-        raise ValueError(f"product enumeration of {P} points exceeds limit {_ENUM_LIMIT}")
+    if P > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"product enumeration of {P} points exceeds limit "
+                         f"{DEFAULT_ENUMERATION_LIMIT}")
     psi = cfg.activation.psi(grid @ X.T).T  # (N, m)
     return np.indices((m,) * cfg.K).reshape(cfg.K, P), product_table(psi, cfg.outer_weights)
 

@@ -70,10 +70,15 @@ class Activation:
         return self.a * zp * zp
 
     def dpsi(self, z):
+        return self.psi_dpsi(z)[1]
+
+    def psi_dpsi(self, z):
+        """(psi(z), psi'(z)) from one evaluation of the shared tanh or ramp."""
         if self.kind == "tanh":
             t = np.tanh(self.c * z)
-            return self.a * self.c * (1.0 - t * t)
-        return 2.0 * self.a * np.maximum(z, 0.0)
+            return self.a * t, self.a * self.c * (1.0 - t * t)
+        zp = np.maximum(z, 0.0)
+        return self.a * zp * zp, 2.0 * self.a * zp
 
     def d2psi(self, z):
         if self.kind == "tanh":
@@ -150,14 +155,13 @@ class NetworkConfig:
 class Dataset:
     """N x d inputs in the unit cube and N responses.
 
-    require_intercept enforces the convention that the first input column is
-    identically 1 (intercept built into the data).  Oracle configurations at
-    d = 1 use a single all-ones column, which satisfies the same convention.
+    The first input column must be identically 1 (intercept built into the
+    data).  Oracle configurations at d = 1 use a single all-ones column,
+    which satisfies the same convention.
     """
 
     X: np.ndarray
     y: np.ndarray
-    require_intercept: bool = True
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -166,7 +170,7 @@ class Dataset:
             raise ValueError("X and y must have the same number of rows")
         if X.size and np.max(np.abs(X)) > 1.0 + 1e-12:
             raise ValueError("inputs must satisfy |x_ij| <= 1")
-        if X.size and self.require_intercept and not np.allclose(X[:, 0], 1.0):
+        if X.size and not np.allclose(X[:, 0], 1.0):
             raise ValueError("first input column must be identically 1")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)

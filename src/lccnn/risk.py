@@ -106,26 +106,25 @@ def _record(n: int, y_n: float, g_n: float, mu: float, mean_sq: float,
                         lambda_n=b * abs(eps) + b * b)
 
 
-def _half_width(cfg: NetworkConfig, g_values: np.ndarray, b_g: float) -> float:
-    """b = (b_f + b_g) / 2, with b_f = a0 V and b_g defaulting to sup |g|."""
-    if b_g is None:
-        b_g = float(np.max(np.abs(g_values))) if len(g_values) else 0.0
+def _half_width(cfg: NetworkConfig, g_values: np.ndarray) -> float:
+    """b = (b_f + b_g) / 2, with b_f = a0 V and b_g = sup |g|."""
+    b_g = float(np.max(np.abs(g_values))) if len(g_values) else 0.0
     return 0.5 * (cfg.activation.a0 * cfg.V + b_g)
 
 
 def regret_ledger(snapshots, cfg: NetworkConfig, data: Dataset, g_values,
-                  beta: float, b_g: float = None) -> RegretLedger:
+                  beta: float) -> RegretLedger:
     """Per-step regrets of the sequential posteriors against competitor g.
 
     snapshots must cover n = 0..N-1 (snapshot i trained on the first i
-    points); g_values are the competitor's values at each x_n.  b_g defaults
-    to the realized sup |g|; b_f is a0*V.
+    points); g_values are the competitor's values at each x_n.  b_g is the
+    realized sup |g|; b_f is a0*V.
     """
     g_values = np.asarray(g_values, dtype=float)
     N = len(g_values)
     if len(snapshots) < N:
         raise ValueError(f"need {N} snapshots (n = 0..{N - 1}), got {len(snapshots)}")
-    b = _half_width(cfg, g_values, b_g)
+    b = _half_width(cfg, g_values)
     records = []
     for n in range(1, N + 1):
         snap = snapshots[n - 1]
@@ -151,7 +150,7 @@ def _normalize(log_w: np.ndarray):
 
 
 def streamed_regret_ledger(cfg: NetworkConfig, f_rows: np.ndarray, y, g_values,
-                           beta: float, b_g: float = None) -> RegretLedger:
+                           beta: float) -> RegretLedger:
     """regret_ledger of the exact grid posteriors, streamed over one f table.
 
     f_rows is the (N, P) product f table (row n - 1 holds f(w, x_n) at every
@@ -166,7 +165,7 @@ def streamed_regret_ledger(cfg: NetworkConfig, f_rows: np.ndarray, y, g_values,
     N = len(g_values)
     if len(f_rows) != N or len(y) != N:
         raise ValueError(f"need {N} f rows and responses, got {len(f_rows)} and {len(y)}")
-    b = _half_width(cfg, g_values, b_g)
+    b = _half_width(cfg, g_values)
     half_log = 0.5 * math.log(beta / (2.0 * math.pi))
     cum = np.zeros(f_rows.shape[1])
     weights, lse = _normalize(cum)
@@ -239,9 +238,12 @@ class BoundInputs:
     beta: float
 
     def __post_init__(self):
-        for name in ("a0", "a1", "a2", "V", "b", "sigma", "C_N", "M", "K", "beta"):
+        for name in ("a1", "a2", "b", "sigma", "C_N"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("a0", "V", "M", "K", "beta"):  # the formulas divide by each
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.d < 2:
             raise ValueError("bound formulas require d >= 2")
 
@@ -401,9 +403,7 @@ def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0) ->
     def bound_at(K, M, beta):
         inp = BoundInputs(a0=a0, a1=a1, a2=a2, V=V, b=inputs.b, sigma=inputs.sigma,
                           C_N=inputs.C_N, d=inputs.d, N=inputs.N, M=M, K=K, beta=beta)
-        target = {"square_regret": "square_regret", "msr": "msr",
-                  "kl": "kl", "m2_msr": "m2_msr"}[kind]
-        return bound_calculator(target, inp, proj_sq=proj_sq).total
+        return bound_calculator(kind, inp, proj_sq=proj_sq).total
 
     K_int = max(1, round(K_star))
     M_int = max(1, round(M_star))
@@ -430,7 +430,7 @@ class ApproximationWitness:
 
 def approximation_witness(cfg: NetworkConfig, data: Dataset, library_w: np.ndarray,
                           library_c: np.ndarray, M: int, trials: int,
-                          rng: np.random.Generator, h_values: np.ndarray = None,
+                          rng: np.random.Generator,
                           y_values: np.ndarray = None) -> ApproximationWitness:
     """Randomized search for a good discrete-grid network near a hull target.
 
@@ -450,9 +450,7 @@ def approximation_witness(cfg: NetworkConfig, data: Dataset, library_w: np.ndarr
     X = data.X
     N = data.N
     act = cfg.activation
-    if h_values is None:
-        h_values = cfg.V * library_c @ act.psi(library_w @ X.T)
-    h_values = np.asarray(h_values, dtype=float)
+    h_values = cfg.V * library_c @ act.psi(library_w @ X.T)
     noiseless = y_values is None
     y = h_values if noiseless else np.asarray(y_values, dtype=float)
     base_loss = float(np.sum((y - h_values) ** 2))
@@ -487,13 +485,13 @@ def approximation_witness(cfg: NetworkConfig, data: Dataset, library_w: np.ndarr
 def hull_project(neuron_outputs: np.ndarray, V: float, g: np.ndarray,
                  weights: np.ndarray = None, max_iter: int = 10_000,
                  gap_tol: float = 1e-8) -> dict:
-    """Pairwise Frank-Wolfe projection of g onto the hull of signed atoms.
+    """Fully-corrective Frank-Wolfe projection of g onto the hull of signed atoms.
 
     Minimizes the (optionally weighted) squared distance ||g - f||^2 over
-    convex combinations of {+-V * neuron_outputs[l]}.  Pairwise steps (mass
-    moves from the worst active atom to the best atom, exact line search)
-    converge linearly on this polytope, so the 1e-8 duality-gap stop is
-    reachable within the iteration budget.
+    convex combinations of {+-V * neuron_outputs[l]}.  Each step adds the
+    best Frank-Wolfe atom to the active set and re-solves the simplex-
+    constrained least squares exactly on that set (an active-set loop that
+    drops atoms whose weight reaches zero), until the duality gap <= gap_tol.
     """
     A = np.atleast_2d(np.asarray(neuron_outputs, dtype=float))
     g = np.asarray(g, dtype=float)

@@ -36,7 +36,6 @@ from .coupling import (
     _batch_means_se,
     in_B,
     reverse_logdensity_unnorm,
-    reverse_score,
     stacked_projection,
 )
 from .estimators import _logsumexp, _sq_residual_sums, product_table
@@ -101,21 +100,18 @@ class ChainRng:
 class TargetDensity:
     """Density interface for the generic chain.
 
-    score must be the gradient of log_density on the support interior, up to
-    any documented estimation error.  log_density_and_score, when provided,
-    fuses both evaluations (one pass over the data) for the hot loop.
+    log_density_and_score(x) returns (log density, gradient) in one pass over
+    the data, and evaluate is the MALA kernel's one call to it; log_density
+    alone serves kernels that need no gradient.
     """
 
     log_density: callable
-    score: callable
+    log_density_and_score: callable
     support_test: callable
     dimension: int
-    log_density_and_score: callable = None
 
     def evaluate(self, x):
-        if self.log_density_and_score is not None:
-            return self.log_density_and_score(x)
-        return self.log_density(x), np.asarray(self.score(x), dtype=float)
+        return self.log_density_and_score(x)
 
 
 @dataclass
@@ -240,7 +236,7 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
             prop, log_ratio = move
             if not math.isnan(log_ratio):
                 alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            if rng.uniform() < alpha:
+            if rng.random() < alpha:
                 state = prop
                 if step >= burn_in:
                     post_accepts += 1
@@ -260,9 +256,12 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
     return points, np.array(kept_stat), state, diag
 
 
-def _langevin_correction(x, prop, grad, grad_prop, eps: float) -> float:
-    """log q(x | prop) - log q(prop | x) for the Langevin proposal; 1-D arrays."""
-    fwd = prop - x - 0.5 * eps * eps * grad
+def _langevin_correction(x, prop, drift, grad_prop, eps: float) -> float:
+    """log q(x | prop) - log q(prop | x) for the Langevin proposal; 1-D arrays.
+
+    drift is the forward proposal's 0.5 eps^2 grad(x), as the kernel built it.
+    """
+    fwd = prop - x - drift
     rev = x - prop - 0.5 * eps * eps * grad_prop
     return (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
 
@@ -275,8 +274,7 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     from Metropolis rejections).  With adapt_step, dual averaging targets
     acceptance 0.574 during burn-in and the step size is frozen afterwards.
 
-    Returns (samples, diagnostics); diagnostics.extras carries the kept-step
-    log densities.
+    Returns (samples, diagnostics).
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != target.dimension:
@@ -290,18 +288,18 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     def kernel(rng, step, state, eps):
         x, logp, grad = state
         noise = rng.standard_normal(target.dimension)
-        prop = x + 0.5 * eps * eps * grad + eps * noise
+        drift = 0.5 * eps * eps * grad
+        prop = x + drift + eps * noise
         if not target.support_test(prop):
             return None
         logp_prop, grad_prop = target.evaluate(prop)
-        if not np.all(np.isfinite(grad_prop)):
+        if not np.isfinite(grad_prop).all():
             raise SamplerError("NaN in score at a proposal")
         return ((prop, logp_prop, grad_prop),
-                logp_prop - logp + _langevin_correction(x, prop, grad, grad_prop, eps))
+                logp_prop - logp + _langevin_correction(x, prop, drift, grad_prop, eps))
 
-    samples, logd, _, diag = _metropolis(kernel, cfg, (x, logp, grad), chain_id,
-                                         cfg.step_size)
-    diag.extras = {"log_density": logd}
+    samples, _, _, diag = _metropolis(kernel, cfg, (x, logp, grad), chain_id,
+                                      cfg.step_size)
     return samples, diag
 
 
@@ -325,9 +323,8 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
         logp_prop = target.log_density(prop)
         return (prop, logp_prop), logp_prop - state[1]
 
-    samples, logd, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
-                                         chain_id, 0.0)
-    diag.extras = {"log_density": logd}
+    samples, _, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
+                                      chain_id, 0.0)
     return samples, diag
 
 
@@ -356,8 +353,7 @@ def sample_reverse_conditional_prior_mh(cfg: NetworkConfig, data: Dataset,
 
 
 def _l1_rows_ok(flat: np.ndarray, K: int, d: int) -> bool:
-    w = flat.reshape(K, d)
-    return bool(np.all(np.abs(w).sum(axis=1) <= 1.0))
+    return bool(np.abs(flat.reshape(K, d)).sum(axis=1).max() <= 1.0)
 
 
 def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
@@ -373,28 +369,26 @@ def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
     beta, rho = params.beta, params.rho
     xi = np.asarray(xi, dtype=float)
     xiT = xi.T  # (K, n)
+    beta_c = beta * c[:, None]
 
     def logd(flat):
         return reverse_logdensity_unnorm(cfg, flat.reshape(K, d), xi, data, params)
 
-    def score(flat):
-        return reverse_score(cfg, flat.reshape(K, d), xi, data, params)
-
     def fused(flat):
         w = flat.reshape(K, d)
         z = w @ XT                       # (K, n) preactivations
-        res = y - c @ act.psi(z)
+        psi, dpsi = act.psi_dpsi(z)
+        res = y - c @ psi
         quad = xiT - z                   # (K, n)
-        logp = -0.5 * beta * (res @ res) - 0.5 * rho * np.sum(quad * quad)
-        coef = (beta * c[:, None]) * act.dpsi(z) * res[None, :] + rho * quad
+        logp = -0.5 * beta * (res @ res) - 0.5 * rho * (quad * quad).sum()
+        coef = beta_c * dpsi * res[None, :] + rho * quad
         return logp, (coef @ X).reshape(-1)
 
     return TargetDensity(
         log_density=logd,
-        score=score,
+        log_density_and_score=fused,
         support_test=lambda flat: _l1_rows_ok(flat, K, d),
         dimension=K * d,
-        log_density_and_score=fused,
     )
 
 
@@ -433,9 +427,8 @@ def _log_ratio_estimate(rho: float, xi_a: np.ndarray, xi_b: np.ndarray,
 
 def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
                        outer_cfg: ChainConfig, inner_cfg: ChainConfig,
-                       xi0: np.ndarray = None, w0: np.ndarray = None,
                        score_oracle=None, chain_id: int = 0):
-    """Outer MALA over xi with support test in_B.
+    """Outer MALA over xi, from xi = 0 and w = 0, with support test in_B.
 
     The score rho*(-xi + X E[w|xi]) is estimated per step from a fresh inner
     chain warm-started at the previous inner state.  The Metropolis ratio
@@ -454,12 +447,6 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
     """
     n, K = params.n, cfg.K
     X = data.X[:n]
-    if xi0 is None:
-        xi0 = np.zeros((n, K))
-    if not in_B(xi0, X, params):
-        raise SamplerError("initial xi outside the constraint set B")
-    xi = np.asarray(xi0, dtype=float)
-    w_init = np.zeros((cfg.K, cfg.d)) if w0 is None else np.asarray(w0, dtype=float)
     rho = params.rho
     icfg = replace(inner_cfg, seed=outer_cfg.seed)
 
@@ -479,7 +466,8 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
     def kernel(rng, step, state, eps):
         xi, _, score, proj, w_last = state
         noise = rng.standard_normal((n, K))
-        prop = xi + 0.5 * eps * eps * score + eps * noise
+        drift = 0.5 * eps * eps * score
+        prop = xi + drift + eps * noise
         if not in_B(prop, X, params):
             return None
         new = evaluate(prop, (chain_id + 1) * 10_000_000 + 2 * step + 1, w_last)
@@ -491,9 +479,9 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
             d_rev = -_log_ratio_estimate(rho, prop, xi, new[3])
             log_target_diff = 0.5 * (d_fwd + d_rev)
         return new, log_target_diff + _langevin_correction(
-            xi.ravel(), prop.ravel(), score.ravel(), new[2].ravel(), eps)
+            xi.ravel(), prop.ravel(), drift.ravel(), new[2].ravel(), eps)
 
-    state = evaluate(xi, (chain_id + 1) * 10_000_000, w_init)
+    state = evaluate(np.zeros((n, K)), (chain_id + 1) * 10_000_000, np.zeros((K, cfg.d)))
     samples, se, state, diag = _metropolis(kernel, outer_cfg, state, chain_id,
                                            outer_cfg.step_size)
     diag.extras = {"inner_score_se": se, "final_inner_state": state[4]}
@@ -713,10 +701,9 @@ class CouplingOracle1D:
         axis = lo + (np.arange(points_per_dim) + 0.5) * step
         n = self.params.n
         mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)  # (m^n, n)
-        return pts, step ** n
+        return np.stack([m.ravel() for m in mesh], axis=1)  # (m^n, n)
 
-    def marginal_on_grid(self, pts: np.ndarray, cell: float):
+    def marginal_on_grid(self, pts: np.ndarray):
         """Normalized p*(xi) masses on a grid (zero outside B)."""
         logs = np.full(len(pts), -math.inf)
         for i, xi in enumerate(pts):
@@ -726,9 +713,9 @@ class CouplingOracle1D:
         mass /= mass.sum()
         return mass
 
-    def mixture_density(self, pts: np.ndarray, cell: float) -> np.ndarray:
+    def mixture_density(self, pts: np.ndarray) -> np.ndarray:
         """integral p*(w|xi) p*(xi) dxi on the w grid via the xi grid."""
-        mass = self.marginal_on_grid(pts, cell)
+        mass = self.marginal_on_grid(pts)
         out = np.zeros_like(self.w)
         for xi, p in zip(pts, mass):
             if p > 0.0:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lccnn.cli import (
     config_hash,
     load_dataset_csv,
     main,
-    network_from_dict,
     resolve_beta,
     synthesize,
 )
@@ -118,12 +118,11 @@ class TestSample:
         assert rc == 0
         h = config_hash(SAMPLE_CONFIG)
         cert = json.loads((tmp_path / f"certificate_{h}.json").read_text())
-        from lccnn.cli import network_from_dict, _get_data
+        from lccnn.cli import _get_data
         from lccnn.coupling import check_logconcavity_conditions
         ec = ExperimentConfig.from_dict(SAMPLE_CONFIG)
-        net = network_from_dict(ec.network)
         data, _ = _get_data(ec)
-        report = check_logconcavity_conditions(net, data, 2.0, N=4)
+        report = check_logconcavity_conditions(ec.network, data, 2.0, N=4)
         for key, val in report.as_dict().items():
             assert cert["condition_report"][key] == pytest.approx(val)
         chains = (tmp_path / f"chains_{h}.jsonl").read_text().strip().split("\n")
@@ -213,6 +212,29 @@ BAD_CSV = "x1,x2,y\n1.0,0.5,0.1\n1.0,abc,0.2\n"
     ("bounds", "d", 2.5),
     ("bounds", "N", 0),
     ("bounds", "non_odd", "no"),
+    ("sample", "prior", 5),
+    ("regret", "beta", None),
+    ("sample", "data.synthetic", 3),
+    ("regret", "data.synthetic.g", "t"),
+    pytest.param("sample", "data", {"path": None}, id="sample-data.path-null"),
+    pytest.param("sample", "data.synthetic.noise", {"kind": "bounded", "range": -1},
+                 id="sample-noise.range-negative"),
+    ("bounds", "a0", math.nan),
+    ("bounds", "a0", 0),
+    ("bounds", "V", 0),
+    ("bounds", "M", 0),
+    ("bounds", "K", 0),
+    ("bounds", "beta", 0),
+    ("sample", "sampler.outer.iterations", "100"),
+    ("sample", "sampler.outer.thinning", True),
+    ("sample", "sampler.outer.step_size", True),
+    ("sample", "seed", True),
+    ("sample", "output_dir", 5),
+    ("sample", "network.V", "1.0"),
+    ("sample", "network.activation.a", "2"),
+    ("bounds", "a0", True),
+    ("bounds", "N", True),
+    ("bounds", "a0", 1e-300),  # K* underflows to 0, where the bound is undefined
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -352,9 +374,9 @@ class TestRegret:
             written = {int(r["N"]): float(r["R_square"]) for r in csv.DictReader(fh)}
 
         ec = ExperimentConfig.from_dict(cfg_dict)
-        net = network_from_dict(ec.network)
+        net = ec.network
         data, _, g = synthesize(ec.data["synthetic"])
-        grid = enumerate_grid(DiscreteGridPrior(d=net.d, M=ec.prior["M"], K=net.K))
+        grid = enumerate_grid(DiscreteGridPrior(d=net.d, M=ec.M, K=net.K))
         _, f_rows = product_f_table(net, grid, data.X)
         for N in [2, 4, 8, 16, data.N]:
             b = resolve_beta(ec.beta, net, data, N)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled
-from lccnn.priors import ContinuousL1Prior, sample_continuous
+from lccnn.priors import DEFAULT_ENUMERATION_LIMIT, ContinuousL1Prior, sample_continuous
 from lccnn.coupling import (
     CouplingParams,
     in_B,
@@ -15,7 +15,7 @@ from lccnn.coupling import (
     reverse_score,
     sample_xi_given_w,
 )
-from lccnn.estimators import _ENUM_LIMIT, _logsumexp
+from lccnn.estimators import _logsumexp
 from lccnn.samplers import (
     ChainConfig,
     CouplingOracle1D,
@@ -39,7 +39,7 @@ from lccnn.samplers import (
 def _gaussian_target(dim=5):
     return TargetDensity(
         log_density=lambda x: -0.5 * float(x @ x),
-        score=lambda x: -x,
+        log_density_and_score=lambda x: (-0.5 * float(x @ x), -x),
         support_test=lambda x: True,
         dimension=dim,
     )
@@ -65,7 +65,7 @@ class TestMalaChain:
     def test_uniform_support_only(self):
         target = TargetDensity(
             log_density=lambda x: 0.0,
-            score=lambda x: np.zeros(1),
+            log_density_and_score=lambda x: (0.0, np.zeros(1)),
             support_test=lambda x: bool(np.all(np.abs(x) <= 1.0)),
             dimension=1,
         )
@@ -102,7 +102,8 @@ class TestMalaChain:
         def score(x):
             return np.array([-4.0 * x[0] * (x[0] ** 2 - 1.0) / 0.32])
 
-        target = TargetDensity(log_density=logd, score=score,
+        target = TargetDensity(log_density=logd,
+                               log_density_and_score=lambda x: (logd(x), score(x)),
                                support_test=lambda x: bool(abs(x[0]) < 3.0),
                                dimension=1)
         cfg = ChainConfig(step_size=0.5, iterations=120_000, burn_in=10_000,
@@ -123,7 +124,8 @@ class TestMalaChain:
         assert chi2 < stats.chi2.ppf(0.95, len(hist) - 1) * max(infl, 1.0)
 
     def test_initial_state_validation(self):
-        target = TargetDensity(log_density=lambda x: 0.0, score=lambda x: np.zeros(1),
+        target = TargetDensity(log_density=lambda x: 0.0,
+                               log_density_and_score=lambda x: (0.0, np.zeros(1)),
                                support_test=lambda x: bool(np.all(np.abs(x) <= 1)),
                                dimension=1)
         cfg = ChainConfig(step_size=0.1, iterations=10, burn_in=0, thinning=1, seed=0)
@@ -132,7 +134,7 @@ class TestMalaChain:
 
     def test_nan_score_raises(self):
         target = TargetDensity(log_density=lambda x: 0.0,
-                               score=lambda x: np.array([math.nan]),
+                               log_density_and_score=lambda x: (0.0, np.array([math.nan])),
                                support_test=lambda x: True, dimension=1)
         cfg = ChainConfig(step_size=0.1, iterations=10, burn_in=0, thinning=1, seed=0)
         with pytest.raises(SamplerError, match="NaN"):
@@ -214,7 +216,7 @@ class TestIndependenceChain:
     def test_uniform_proposals_match_quadrature(self):
         # exp(-x^2) on [-1, 1] with proposals uniform over the support
         target = TargetDensity(log_density=lambda x: -float(x @ x),
-                               score=lambda x: -2.0 * x,
+                               log_density_and_score=lambda x: (-float(x @ x), -2.0 * x),
                                support_test=lambda x: bool(abs(x[0]) <= 1.0),
                                dimension=1)
         cfg = ChainConfig(step_size=0.5, iterations=20_000, burn_in=1_000,
@@ -271,8 +273,8 @@ class TestMarginalXi:
                             thinning=1, seed=0)
         xis, diag = sample_marginal_xi(cfg, data, params, outer, inner,
                                        score_oracle=Adapter())
-        pts, cell = oracle.xi_grid(points_per_dim=60)
-        mass = oracle.marginal_on_grid(pts, cell)
+        pts = oracle.xi_grid(points_per_dim=60)
+        mass = oracle.marginal_on_grid(pts)
         quad_mean = mass @ pts
         est = xis.reshape(len(xis), -1).mean(axis=0)
         sd = xis.reshape(len(xis), -1).std(axis=0)
@@ -419,7 +421,7 @@ class TestQuadratureOracle:
         # the grid prior's enumeration limit does not bound the oracle
         cfg, data = self._cfg_data(d=3)
         quad = PosteriorQuadrature(cfg, data, 4, beta=2.0, grid_resolution=101)
-        assert len(quad.probs) == 101 ** 3 > _ENUM_LIMIT
+        assert len(quad.probs) == 101 ** 3 > DEFAULT_ENUMERATION_LIMIT
         assert abs(quad.total_mass() - 1.0) < 1e-10
 
     def test_dimension_guard(self):
