@@ -22,7 +22,7 @@ import numpy as np
 
 from .nnmodel import Activation, Dataset, NetworkConfig, eval_network_many, squared_relu, tanh_scaled
 from .priors import DiscreteGridPrior, enumerate_grid
-from .coupling import CouplingParams, check_logconcavity_conditions
+from .coupling import CouplingParams, check_logconcavity_conditions, compute_C_n
 from .samplers import ChainConfig, SamplerError, TwoStageBudgets, two_stage_sample
 from .estimators import product_f_table
 from .risk import (BoundInputs, RegretLedger, bound_calculator, optimal_hyperparams,
@@ -225,18 +225,28 @@ def experiment_hash(ec: "ExperimentConfig") -> str:
     return config_hash(d)
 
 
+def _bound_inputs(cfg: NetworkConfig, data: Dataset, N: int, **knobs) -> BoundInputs:
+    """BoundInputs of network cfg on the first N >= 1 points; knobs give the rest."""
+    act = cfg.activation
+    return BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V,
+                       C_N=compute_C_n(data, N, act.a0, cfg.V), d=max(cfg.d, 2), N=N,
+                       **knobs)
+
+
 def resolve_beta(beta_cfg: dict, cfg: NetworkConfig, data: Dataset, N: int) -> float:
-    """The fixed beta, or the square-regret optimum beta* at sample size N with
-    b = beta.b, else a0 V."""
+    """The fixed beta, or the square-regret optimum beta* at sample size N >= 1
+    with b = beta.b, else a0 V."""
     if beta_cfg["mode"] == "fixed":
         return float(beta_cfg["value"])
-    act = cfg.activation
-    b_val = float(beta_cfg.get("b", act.a0 * cfg.V))
-    C_N = float(np.max(np.abs(data.y[:N]))) + act.a0 * cfg.V if N else act.a0 * cfg.V
-    inputs = BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V, b=b_val,
-                         sigma=1.0, C_N=C_N, d=max(cfg.d, 2), N=max(N, 1),
-                         M=1.0, K=1.0, beta=1.0)
-    return optimal_hyperparams("square_regret", inputs).beta_star
+    b = float(beta_cfg.get("b", cfg.activation.a0 * cfg.V))
+    inputs = _bound_inputs(cfg, data, N, b=b, sigma=1.0, M=1.0, K=1.0, beta=1.0)
+    try:
+        beta = optimal_hyperparams("square_regret", inputs).beta_star
+    except ArithmeticError:  # a term over- or underflowed
+        beta = math.nan
+    if not 0.0 < beta < math.inf:
+        raise ConfigError(f"the fourth-root beta* at N = {N} is {beta!r}, not finite and > 0")
+    return beta
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +362,7 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
 def cmd_synth(args) -> int:
     spec = _load_json(args.spec)
     data, meta, _ = synthesize(spec, seed_override=args.seed)
-    out = _out_path(args, args.out)
+    out = _out_path(args.output_dir, args.out)
     save_dataset_csv(out, data)
     meta["config_hash"] = config_hash(spec)
     with open(str(out) + ".teacher.json", "w") as fh:
@@ -398,9 +408,13 @@ def _load_experiment(args, prior_kind: str) -> tuple:
     return ec, ec.network, data, g_vals
 
 
-def _out_path(args, name):
-    base = args.output_dir or os.environ.get(ENV_OUT_DIR, ".")
-    os.makedirs(base, exist_ok=True)
+def _out_path(out_dir, name):
+    """name under out_dir (the flag, then a config's field), else $LCCNN_OUT_DIR, else '.'."""
+    base = out_dir or os.environ.get(ENV_OUT_DIR, ".")
+    try:
+        os.makedirs(base, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot make output directory {base!r}: {exc}") from exc
     return os.path.join(base, name)
 
 
@@ -420,7 +434,7 @@ def cmd_sample(args) -> int:
     draws, tags, diag = two_stage_sample(cfg, data, params, budgets)
 
     hash_ = experiment_hash(ec)
-    chain_path = _out_path(args, f"chains_{hash_}.jsonl")
+    chain_path = _out_path(ec.output_dir, f"chains_{hash_}.jsonl")
     with open(chain_path, "w") as fh:
         fh.write(json.dumps({"meta": {"config_hash": hash_, "beta": beta, "n": n,
                                       "seed": ec.seed}}, sort_keys=True) + "\n")
@@ -431,14 +445,14 @@ def cmd_sample(args) -> int:
                                    "outer_step_size": diag["outer"].final_step_size}}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    cert_path = _out_path(args, f"certificate_{hash_}.json")
+    cert_path = _out_path(ec.output_dir, f"certificate_{hash_}.json")
     with open(cert_path, "w") as fh:
         json.dump({"config_hash": hash_, "condition_report": report.as_dict(),
                    "params": {"n": params.n, "beta": params.beta, "C_n": params.C_n,
                               "rho": params.rho, "delta": params.delta,
                               "b_threshold": params.b_threshold}},
                   fh, sort_keys=True, indent=1)
-    diag_path = _out_path(args, f"diagnostics_{hash_}.json")
+    diag_path = _out_path(ec.output_dir, f"diagnostics_{hash_}.json")
     with open(diag_path, "w") as fh:
         json.dump({"config_hash": hash_,
                    "outer_acceptance": diag["outer"].acceptance_rate,
@@ -491,7 +505,7 @@ def cmd_bounds(args) -> int:
         inputs = BoundInputs(**spec)
         for kind in ("log_regret", "square_regret", "msr", "kl", "m2_msr"):
             br = bound_calculator(kind, inputs, non_odd=non_odd)
-            row = {"kind": kind, **{k: v for k, v in br.as_dict().items() if k != "kind"}}
+            row = br.as_dict()
             if kind != "log_regret":
                 opt = optimal_hyperparams(kind, inputs)
                 row.update({"beta_star": opt.beta_star, "K_star": opt.K_star,
@@ -507,17 +521,15 @@ def cmd_bounds(args) -> int:
         for label, kwargs in (("N_doubled", {"N": inputs.N * 2}),
                               ("K_doubled", {"K": inputs.K * 2}),
                               ("M_doubled", {"M": inputs.M * 2})):
-            alt = BoundInputs(**{**inputs.__dict__, **kwargs})
-            br = bound_calculator("square_regret", alt, non_odd=non_odd)
-            rows.append({"kind": f"square_regret[{label}]",
-                         **{k: v for k, v in br.as_dict().items() if k != "kind"}})
+            br = bound_calculator("square_regret", replace(inputs, **kwargs), non_odd=non_odd)
+            rows.append(br.as_dict() | {"kind": f"square_regret[{label}]"})
             lines.append(f"  square_regret[{label}]: total={br.total!r}")
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bound inputs: {exc}") from exc
 
-    out_csv = _out_path(args, f"bounds_{hash_}.csv")
+    out_csv = _out_path(args.output_dir, f"bounds_{hash_}.csv")
     _write_csv(out_csv, sorted({k for row in rows for k in row if k != "warnings"}), rows)
-    out_txt = _out_path(args, f"bounds_{hash_}.txt")
+    out_txt = _out_path(args.output_dir, f"bounds_{hash_}.txt")
     with open(out_txt, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -538,7 +550,7 @@ def cmd_regret(args) -> int:
     ec, cfg, data, g_vals = _load_experiment(args, "discrete")
     hash_ = experiment_hash(ec)
     if data.N == 0:
-        path = _out_path(args, f"ledger_{hash_}.csv")
+        path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")
         _ledger_csv(path, RegretLedger(records=(), R_square=0.0, R_rand=0.0,
                                        R_log=0.0, Lambda_sq=0.0), hash_)
         print(f"empty ledger written to {path}")
@@ -555,28 +567,20 @@ def cmd_regret(args) -> int:
     # reads its first Nn rows
     beta_full = resolve_beta(ec.beta, cfg, data, data.N)
     ledger = streamed_regret_ledger(cfg, f_rows, data.y, g_vals, beta_full)
-    ledger_path = _out_path(args, f"ledger_{hash_}.csv")
+    ledger_path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")
     _ledger_csv(ledger_path, ledger, hash_)
 
-    act = cfg.activation
     rows = []
-    N_dyadic = 1
-    while N_dyadic <= data.N:
-        if N_dyadic >= 2 or data.N == 1:
-            Nn = N_dyadic
-            beta_n = resolve_beta(ec.beta, cfg, data, Nn)
-            led_n = ledger if Nn == data.N else streamed_regret_ledger(
-                cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
-            C_N = float(np.max(np.abs(data.y[:Nn]))) + act.a0 * cfg.V
-            b_g = float(np.max(np.abs(g_vals[:Nn])))
-            inp = BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V, b=b_g,
-                              sigma=0.0, C_N=C_N, d=max(cfg.d, 2), N=Nn,
-                              M=prior.M, K=cfg.K, beta=beta_n)
-            br = bound_calculator("square_regret", inp)
-            rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square,
-                         "bound": br.total})
-        N_dyadic *= 2
-    comp_path = _out_path(args, f"regret_vs_bound_{hash_}.csv")
+    # the dyadic N = 2, 4, 8, ... up to data.N, or N = 1 alone
+    for Nn in [1] if data.N == 1 else [2 ** k for k in range(1, data.N.bit_length())]:
+        beta_n = resolve_beta(ec.beta, cfg, data, Nn)
+        led_n = ledger if Nn == data.N else streamed_regret_ledger(
+            cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
+        inp = _bound_inputs(cfg, data, Nn, b=float(np.max(np.abs(g_vals[:Nn]))),
+                            sigma=0.0, M=prior.M, K=cfg.K, beta=beta_n)
+        br = bound_calculator("square_regret", inp)
+        rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square, "bound": br.total})
+    comp_path = _out_path(ec.output_dir, f"regret_vs_bound_{hash_}.csv")
     _write_csv(comp_path, ["N", "beta", "R_square", "bound"], rows, f"config_hash={hash_}")
     print(f"wrote {ledger_path} and {comp_path}")
     return 0
@@ -592,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "risk-bound tooling for Bayesian "
                                             "single-hidden-layer networks")
     p.add_argument("--output-dir", default=None,
-                   help=f"output directory (default: ${ENV_OUT_DIR} or '.')")
+                   help=f"output directory (default: the config's output_dir, "
+                        f"then ${ENV_OUT_DIR}, then '.')")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("synth", help="generate a synthetic dataset CSV")

@@ -22,7 +22,7 @@ and estimate_Z_and_check quantifies the omitted bias for a configured delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -269,14 +269,7 @@ class ConditionReport:
     C_N: float
 
     def as_dict(self) -> dict:
-        return {
-            "A1": self.A1, "A2": self.A2, "A3": self.A3,
-            "H1": self.H1, "H2": self.H2,
-            "cond_K": self.cond_K, "cond_Kd": self.cond_Kd, "cond_H": self.cond_H,
-            "delta_used": self.delta_used,
-            "A2_variant": self.A2_variant,
-            "beta_n_ok": self.beta_n_ok, "rho": self.rho, "C_N": self.C_N,
-        }
+        return asdict(self)
 
 
 def _A1_A2(act) -> tuple:

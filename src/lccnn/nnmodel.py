@@ -168,6 +168,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must have the same number of rows")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("inputs and responses must be finite")
         if X.size and np.max(np.abs(X)) > 1.0 + 1e-12:
             raise ValueError("inputs must satisfy |x_ij| <= 1")
         if X.size and not np.allclose(X[:, 0], 1.0):

@@ -13,13 +13,17 @@ working memory and the log predictive taken as a Bayes-factor ratio; any
 prefix of the table gives the ledger of that prefix.
 
 The bound calculators reproduce the closed-form regret/risk bounds with the
-exact optimizing (beta*, K*, M*), term by term.
+exact optimizing (beta*, K*, M*), term by term.  One ingredient table,
+_ingredients, holds each kind's scale, effective sample size N', grid width
+w, P = (a0 V + b)/2 and quadratic factor B; bound_calculator turns it into
+the five terms and optimal_hyperparams into the fourth-root (square_regret,
+msr) and cube-root (kl) laws.  m2_msr keeps its own 1/M^2 terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 BOUND_KINDS = ("log_regret", "square_regret", "msr", "kl", "m2_msr")
+_REGRET_KINDS = ("log_regret", "square_regret")  # arbitrary sequences; the rest are iid
 
 
 @dataclass(frozen=True)
@@ -259,12 +264,23 @@ class BoundBreakdown:
     total: float
     warnings: tuple = ()
 
-    def as_dict(self):
-        return {
-            "kind": self.kind, "prior_mass": self.prior_mass, "width": self.width,
-            "grid": self.grid, "beta_quad": self.beta_quad, "residual": self.residual,
-            "total": self.total, "warnings": list(self.warnings),
-        }
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def _ingredients(kind: str, inputs: BoundInputs, V: float) -> tuple:
+    """(scale, N', w, P, B) of one bound kind at width V.  scale is beta for kl,
+    whose prior-mass, width, grid and residual terms are beta times msr's."""
+    a0, a1, a2 = inputs.a0, inputs.a1, inputs.a2
+    P = 0.5 * (a0 * V + inputs.b)
+    if kind in _REGRET_KINDS:
+        w = a2 * V * inputs.C_N + a1 ** 2 * V ** 2
+        B = (inputs.C_N + P) ** 2 if kind == "square_regret" else 0.0
+        return 1.0, inputs.N, w, P, B
+    w = V * (a0 * V + inputs.b) * a2 + V ** 2 * a1 ** 2
+    if kind == "msr":
+        return 1.0, inputs.N + 1, w, P, (inputs.sigma + P) ** 2
+    return inputs.beta, inputs.N + 1, w, P, 0.0  # kl
 
 
 def bound_calculator(kind: str, inputs: BoundInputs, residual_term: float = 0.0,
@@ -283,49 +299,31 @@ def bound_calculator(kind: str, inputs: BoundInputs, residual_term: float = 0.0,
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    a0, a1, a2 = inputs.a0, inputs.a1, inputs.a2
-    V, K, M, beta = inputs.V, inputs.K, inputs.M, inputs.beta
+    a0, V, K, M, beta = inputs.a0, inputs.V, inputs.K, inputs.M, inputs.beta
     warnings = []
     width_factor = 1.0
     if non_odd:
         V, K = 2.0 * V, 2.0 * K
         width_factor = 2.0
     L = math.log(2.0 * inputs.d + 1.0)
-    P = 0.5 * (a0 * V + inputs.b)
-    w_arb = a2 * V * inputs.C_N + a1 ** 2 * V ** 2
-    w_iid = V * (a0 * V + inputs.b) * a2 + V ** 2 * a1 ** 2
 
-    if kind == "log_regret":
-        terms = dict(prior_mass=M * K * L / (beta * inputs.N),
-                     width=width_factor * a0 ** 2 * V ** 2 / (2.0 * K),
-                     grid=w_arb / (2.0 * M), beta_quad=0.0, residual=residual_term)
-    elif kind == "square_regret":
-        B1 = (inputs.C_N + P) ** 2
-        terms = dict(prior_mass=M * K * L / (beta * inputs.N),
-                     width=width_factor * a0 ** 2 * V ** 2 / (2.0 * K),
-                     grid=w_arb / (2.0 * M),
-                     beta_quad=2.0 * beta * P ** 2 * B1, residual=residual_term)
-    elif kind == "msr":
-        terms = dict(prior_mass=M * K * L / (beta * (inputs.N + 1)),
-                     width=width_factor * a0 ** 2 * V ** 2 / (2.0 * K),
-                     grid=w_iid / (2.0 * M),
-                     beta_quad=2.0 * beta * P ** 2 * (inputs.sigma + P) ** 2,
-                     residual=proj_sq)
-    elif kind == "kl":
-        if abs(beta * inputs.sigma ** 2 - 1.0) > 1e-9:
-            warnings.append("kl kind expects beta = 1/sigma^2; inputs are inconsistent")
-        terms = dict(prior_mass=M * K * L / (inputs.N + 1),
-                     width=width_factor * beta * a0 ** 2 * V ** 2 / (2.0 * K),
-                     grid=beta * w_iid / (2.0 * M), beta_quad=0.0,
-                     residual=beta * proj_sq)
-    else:  # m2_msr
+    if kind == "m2_msr":
         if abs(inputs.b - a0 * V) > 1e-9:
             warnings.append("m2_msr assumes g inside the hull, so b = a0 V")
         terms = dict(prior_mass=M * K * L / (beta * (inputs.N + 1)),
                      width=width_factor * a0 ** 2 * V ** 2 / (2.0 * K),
-                     grid=a2 ** 2 * V ** 2 / (8.0 * M ** 2),
+                     grid=inputs.a2 ** 2 * V ** 2 / (8.0 * M ** 2),
                      beta_quad=2.0 * beta * (a0 * V) ** 2 * (inputs.sigma + a0 * V) ** 2,
                      residual=0.0)
+    else:
+        if kind == "kl" and abs(beta * inputs.sigma ** 2 - 1.0) > 1e-9:
+            warnings.append("kl kind expects beta = 1/sigma^2; inputs are inconsistent")
+        scale, N_eff, w, P, B = _ingredients(kind, inputs, V)
+        carry = residual_term if kind in _REGRET_KINDS else proj_sq
+        terms = dict(prior_mass=scale * M * K * L / (beta * N_eff),
+                     width=width_factor * scale * a0 ** 2 * V ** 2 / (2.0 * K),
+                     grid=scale * w / (2.0 * M), beta_quad=2.0 * beta * P ** 2 * B,
+                     residual=scale * carry)
     total = sum(terms.values())
     return BoundBreakdown(kind=kind, total=total, warnings=tuple(warnings), **terms)
 
@@ -347,63 +345,47 @@ def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0) ->
     """The bound-optimizing (beta*, K*, M*) and the resulting closed forms.
 
     square_regret / msr: all three are fourth-root power laws in
-    N / ln(2d+1).  kl: beta is pinned to 1/sigma^2 (a data property), only
-    K* and M* are optimized, each a cube-root law.  m2_msr: the stated
-    2/7-1/7 powers (rate-optimal; no exact constants are optimized, so
-    stationarity holds only for the other kinds).
+    N' / ln(2d+1), with Q = w/2.  kl: beta is pinned to 1/sigma^2 (a data
+    property), only K* and M* are optimized, each a cube-root law.  m2_msr:
+    the stated 2/7-1/7 powers (rate-optimal; no exact constants are
+    optimized, so stationarity holds only for the other kinds).
     """
-    a0, a1, a2 = inputs.a0, inputs.a1, inputs.a2
-    V = inputs.V
+    a0v = inputs.a0 * inputs.V
     L = math.log(2.0 * inputs.d + 1.0)
-    P = 0.5 * (a0 * V + inputs.b)
-    a0v = a0 * V
 
-    if kind == "square_regret":
-        Q = 0.5 * (a2 * V * inputs.C_N + a1 ** 2 * V ** 2)
-        B1 = (inputs.C_N + P) ** 2
-        g1 = math.sqrt(a0v) * Q ** 0.25 / (2.0 * P ** 1.5 * B1 ** 0.75)
-        g2 = a0v ** 1.5 / (2.0 * math.sqrt(P) * B1 ** 0.25 * Q ** 0.25)
-        g3 = Q ** 0.75 / (math.sqrt(a0v) * math.sqrt(P) * B1 ** 0.25)
-        ratio = L / inputs.N
+    if kind in ("square_regret", "msr"):
+        _, N_eff, w, P, B = _ingredients(kind, inputs, inputs.V)
+        Q, ratio = 0.5 * w, L / N_eff
+        g1 = math.sqrt(a0v) * Q ** 0.25 / (2.0 * P ** 1.5 * B ** 0.75)
+        g2 = a0v ** 1.5 / (2.0 * math.sqrt(P) * B ** 0.25 * Q ** 0.25)
+        g3 = Q ** 0.75 / (math.sqrt(a0v) * math.sqrt(P) * B ** 0.25)
         beta_star = g1 * ratio ** 0.25
         K_star = g2 * ratio ** -0.25
         M_star = g3 * ratio ** -0.25
-        closed = 4.0 * math.sqrt(a0v * P) * (B1 * Q) ** 0.25 * ratio ** 0.25 + proj_sq
-    elif kind == "msr":
-        Q = 0.5 * (V * (a0 * V + inputs.b) * a2 + V ** 2 * a1 ** 2)
-        S = inputs.sigma + P
-        g1 = math.sqrt(a0v) * Q ** 0.25 / (2.0 * P ** 1.5 * S ** 1.5)
-        g2 = a0v ** 1.5 / (2.0 * math.sqrt(P) * math.sqrt(S) * Q ** 0.25)
-        g3 = Q ** 0.75 / (math.sqrt(a0v) * math.sqrt(P) * math.sqrt(S))
-        ratio = L / (inputs.N + 1)
-        beta_star = g1 * ratio ** 0.25
-        K_star = g2 * ratio ** -0.25
-        M_star = g3 * ratio ** -0.25
-        closed = 4.0 * math.sqrt(a0v * P * S) * Q ** 0.25 * ratio ** 0.25 + proj_sq
+        closed = 4.0 * math.sqrt(a0v * P) * (B * Q) ** 0.25 * ratio ** 0.25 + proj_sq
     elif kind == "kl":
-        W = V * (a0 * V + inputs.b) * a2 + V ** 2 * a1 ** 2
+        _, N_eff, w, _, _ = _ingredients(kind, inputs, inputs.V)
+        ratio = L / N_eff
         beta_star = inputs.beta  # pinned: inverse data variance, not a free knob
         half_beta = 0.5 * beta_star
-        ratio = L / (inputs.N + 1)
-        K_star = half_beta ** (1.0 / 3.0) * (a0 ** 4 * V ** 4) ** (1.0 / 3.0) / W ** (1.0 / 3.0) * ratio ** (-1.0 / 3.0)
-        M_star = half_beta ** (1.0 / 3.0) * W ** (2.0 / 3.0) / a0v ** (2.0 / 3.0) * ratio ** (-1.0 / 3.0)
+        K_star = (half_beta * a0v ** 4 / (w * ratio)) ** (1.0 / 3.0)
+        M_star = (half_beta * w ** 2 / (a0v ** 2 * ratio)) ** (1.0 / 3.0)
         closed = (3.0 * half_beta ** (2.0 / 3.0) * a0v ** (2.0 / 3.0)
-                  * W ** (1.0 / 3.0) * ratio ** (1.0 / 3.0) + beta_star * proj_sq)
+                  * w ** (1.0 / 3.0) * ratio ** (1.0 / 3.0) + beta_star * proj_sq)
     elif kind == "m2_msr":
         ratio = L / (inputs.N + 1)
         beta_star = ratio ** (1.0 / 7.0)
         K_star = ratio ** (-2.0 / 7.0)
         M_star = ratio ** (-1.0 / 7.0)
         closed = ratio ** (2.0 / 7.0) * (
-            ratio ** (1.0 / 7.0) + a0v ** 2 / 2.0 + a2 ** 2 * V ** 2 / 8.0
+            ratio ** (1.0 / 7.0) + a0v ** 2 / 2.0 + inputs.a2 ** 2 * inputs.V ** 2 / 8.0
             + 2.0 * a0v ** 2 * (inputs.sigma + a0v) ** 2)
     else:
         raise ValueError(f"no optimal hyperparameters for kind {kind!r}")
 
     def bound_at(K, M, beta):
-        inp = BoundInputs(a0=a0, a1=a1, a2=a2, V=V, b=inputs.b, sigma=inputs.sigma,
-                          C_N=inputs.C_N, d=inputs.d, N=inputs.N, M=M, K=K, beta=beta)
-        return bound_calculator(kind, inp, proj_sq=proj_sq).total
+        return bound_calculator(kind, replace(inputs, K=K, M=M, beta=beta),
+                                proj_sq=proj_sq).total
 
     K_int = max(1, round(K_star))
     M_int = max(1, round(M_star))

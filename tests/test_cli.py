@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lccnn.cli import (
+    ENV_OUT_DIR,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -177,6 +178,7 @@ BOUNDS_INPUTS = {"a0": 1.0, "a1": 1.0, "a2": 1.0, "V": 1.0, "b": 1.0,
                  "sigma": 1.0, "C_N": 2.0, "d": 2, "N": 10_000, "M": 3,
                  "K": 3, "beta": 1.0}
 BAD_CSV = "x1,x2,y\n1.0,0.5,0.1\n1.0,abc,0.2\n"
+NAN_CSV = "x1,x2,y\n1.0,nan,0.1\n1.0,0.5,nan\n"
 
 
 @pytest.mark.parametrize("command, field, value", [
@@ -235,6 +237,8 @@ BAD_CSV = "x1,x2,y\n1.0,0.5,0.1\n1.0,abc,0.2\n"
     ("bounds", "a0", True),
     ("bounds", "N", True),
     ("bounds", "a0", 1e-300),  # K* underflows to 0, where the bound is undefined
+    ("regret", "network.V", 1e-300),  # the fourth-root beta* divides by an underflowed P
+    pytest.param("regret", "data", {"path": "nan.csv"}, id="regret-data.path-nan"),
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -246,6 +250,7 @@ def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, 
     node[key] = value
     cfg_path = _write(tmp_path / "cfg.json", bad)
     (tmp_path / "bad.csv").write_text(BAD_CSV)
+    (tmp_path / "nan.csv").write_text(NAN_CSV)
     monkeypatch.chdir(tmp_path)  # data paths in the configs are relative
     flag = "--inputs" if command == "bounds" else "--config"
     assert main(["--output-dir", str(tmp_path / "out"), command, flag, cfg_path]) == 2
@@ -392,6 +397,26 @@ class TestRegret:
                 assert abs(getattr(ref, field) - getattr(got, field)) < 1e-12
             if N in written:
                 assert abs(written[N] - ref.R_square) < 1e-12
+
+    def test_output_dir_precedence(self, tmp_path, monkeypatch):
+        # the --output-dir flag, then the config's output_dir, then
+        # $LCCNN_OUT_DIR, then the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(ENV_OUT_DIR, "envout")
+        with_dir = _write(tmp_path / "with.json", dict(self.CONFIG, output_dir="cfgout"))
+        without = _write(tmp_path / "without.json", self.CONFIG)
+        for argv, where in ((["--output-dir", "flagout", "regret", "--config", with_dir],
+                             "flagout"),
+                            (["regret", "--config", with_dir], "cfgout"),
+                            (["regret", "--config", without], "envout")):
+            assert main(argv) == 0
+            assert len(list((tmp_path / where).glob("ledger_*.csv"))) == 1, where
+        monkeypatch.delenv(ENV_OUT_DIR)
+        assert main(["regret", "--config", without]) == 0
+        assert len(list(tmp_path.glob("ledger_*.csv"))) == 1
+        (tmp_path / "taken").write_text("")  # a file where the directory should go
+        taken = _write(tmp_path / "taken.json", dict(self.CONFIG, output_dir="taken/out"))
+        assert main(["regret", "--config", taken]) == 2
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = _write(tmp_path / "cfg.json", self.CONFIG_K2)

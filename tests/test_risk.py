@@ -160,6 +160,16 @@ class TestBoundCalculator:
         assert opt.closed_form == pytest.approx(expect, rel=1e-12)
         assert opt.bound_continuous == pytest.approx(expect, rel=1e-9)
 
+    def test_msr_closed_form_at_optimum(self):
+        inputs = _inputs(a0=1.0, V=1.0, b=1.0, sigma=1.0, a1=1.0, a2=1.0,
+                         d=2, N=10_000)
+        opt = optimal_hyperparams("msr", inputs)
+        P, S, Q = 1.0, 2.0, 1.5  # (a0 V + b)/2, sigma + P, (V(a0 V + b)a2 + V^2 a1^2)/2
+        L = math.log(5.0)
+        expect = 4.0 * math.sqrt(1.0 * P * S) * Q ** 0.25 * (L / 10_001) ** 0.25
+        assert opt.closed_form == pytest.approx(expect, rel=1e-12)
+        assert opt.bound_continuous == pytest.approx(expect, rel=1e-9)
+
     def test_kl_closed_form_at_optimum(self):
         inputs = _inputs(beta=2.0, sigma=1 / math.sqrt(2.0), b=0.8, N=5000, d=7)
         opt = optimal_hyperparams("kl", inputs)
@@ -168,6 +178,38 @@ class TestBoundCalculator:
         expect = 3.0 * (1.0) ** (2 / 3) * (1.0) ** (2 / 3) * W ** (1 / 3) * (L / 5001) ** (1 / 3)
         assert opt.closed_form == pytest.approx(expect, rel=1e-12)
         assert opt.bound_continuous == pytest.approx(opt.closed_form, rel=1e-9)
+
+    @pytest.mark.parametrize("non_odd", [False, True])
+    def test_every_term_matches_the_paper(self, non_odd):
+        a0, a1, a2, b, sigma, C_N = 1.3, 0.7, 0.9, 0.8, 1.2, 2.5
+        d, N, M, beta, res, proj = 4, 500, 3.0, 0.6, 0.05, 0.07
+        V, K = 1.1, 5.0
+        inputs = _inputs(a0=a0, a1=a1, a2=a2, V=V, b=b, sigma=sigma, C_N=C_N,
+                         d=d, N=N, M=M, K=K, beta=beta)
+        f = 2.0 if non_odd else 1.0  # (V, K) -> (2V, 2K) and a doubled width term
+        V, K = f * V, f * K
+        L = math.log(2 * d + 1)
+        P = (a0 * V + b) / 2
+        w_arb = a2 * V * C_N + a1 ** 2 * V ** 2
+        w_iid = V * (a0 * V + b) * a2 + V ** 2 * a1 ** 2
+        width = f * a0 ** 2 * V ** 2 / (2 * K)
+        expected = {
+            "log_regret": (M * K * L / (beta * N), width, w_arb / (2 * M), 0.0, res),
+            "square_regret": (M * K * L / (beta * N), width, w_arb / (2 * M),
+                              2 * beta * P ** 2 * (C_N + P) ** 2, res),
+            "msr": (M * K * L / (beta * (N + 1)), width, w_iid / (2 * M),
+                    2 * beta * P ** 2 * (sigma + P) ** 2, proj),
+            "kl": (M * K * L / (N + 1), beta * width, beta * w_iid / (2 * M), 0.0,
+                   beta * proj),
+            "m2_msr": (M * K * L / (beta * (N + 1)), width, a2 ** 2 * V ** 2 / (8 * M ** 2),
+                       2 * beta * (a0 * V) ** 2 * (sigma + a0 * V) ** 2, 0.0),
+        }
+        for kind, terms in expected.items():
+            br = bound_calculator(kind, inputs, residual_term=res, proj_sq=proj,
+                                  non_odd=non_odd)
+            got = (br.prior_mass, br.width, br.grid, br.beta_quad, br.residual)
+            assert got == pytest.approx(terms, rel=1e-13, abs=0.0), kind
+            assert br.total == pytest.approx(sum(terms), rel=1e-13), kind
 
     def test_non_odd_flag_doubles_width_structure(self):
         inputs = _inputs()
