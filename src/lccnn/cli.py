@@ -70,6 +70,14 @@ def _integer(value, where: str, minimum: int) -> int:
     return int(value)
 
 
+def _seed(value, where: str) -> int:
+    """value as a seed, or a ConfigError unless it is an integer in [0, 2**64)."""
+    seed = _integer(value, where, 0)
+    if seed >= 2 ** 64:
+        raise ConfigError(f"{where} must be below 2**64, got {value!r}")
+    return seed
+
+
 def _boolean(value, where: str) -> bool:
     """value itself, or a ConfigError unless it is a JSON boolean."""
     if not isinstance(value, bool):
@@ -199,7 +207,7 @@ class ExperimentConfig:
         return cls(network=network_from_dict(top["network"]), prior_kind=prior["kind"],
                    M=_integer(prior["M"], "prior.M", 1) if "M" in prior else None,
                    data=data, beta=beta, chains=chains, n=n, n_xi=n_xi,
-                   seed=_integer(top.get("seed", 0), "seed", 0),
+                   seed=_seed(top.get("seed", 0), "seed"),
                    output_dir=None if output_dir is None else _string(output_dir, "output_dir"),
                    raw=d)
 
@@ -300,9 +308,9 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
     N = _integer(spec["N"], "synthetic N", 0)
     d = _integer(spec["d"], "synthetic d", 1)
     if seed_override is None:
-        seed = _integer(spec.get("seed", 0), "synthetic seed", 0)
+        seed = _seed(spec.get("seed", 0), "synthetic seed")
     else:
-        seed = seed_override
+        seed = _seed(seed_override, "--seed")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(N, d))
     X[:, 0] = 1.0
@@ -397,7 +405,7 @@ def _load_experiment(args, prior_kind: str) -> tuple:
     """The config with the flag overrides, its network, data and g values."""
     ec = ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        ec.seed = args.seed
+        ec.seed = _seed(args.seed, "--seed")
     if args.output_dir:
         ec.output_dir = args.output_dir
     if ec.prior_kind != prior_kind:

@@ -136,14 +136,15 @@ def sample_xi_given_w(w: np.ndarray, X: np.ndarray, params: CouplingParams,
 
 
 def reverse_logdensity_unnorm(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
-                              data: Dataset, params: CouplingParams) -> float:
-    """log p*(w|xi) up to an additive constant in w, with Z(w) omitted.
+                              data: Dataset, params: CouplingParams):
+    """log p*(w|xi) up to an additive constant in w, with Z(w) omitted, one
+    value per K x d matrix of w (shape (..., K, d)).
 
     Equals -beta*l_n(w) - (rho/2) sum_{i,k} (xi_ik - w_k.x_i)^2.
     """
     log_post = log_posterior_unnorm(cfg, w, data, params.n, params.beta)
-    gap = np.asarray(xi) - data.X[: params.n] @ np.asarray(w).T  # (n, K)
-    return log_post - 0.5 * params.rho * float(np.sum(gap * gap))
+    gap = np.asarray(xi) - data.X[: params.n] @ np.swapaxes(w, -1, -2)  # (..., n, K)
+    return log_post - 0.5 * params.rho * np.sum(gap * gap, axis=(-2, -1))
 
 
 def reverse_score(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,

@@ -186,12 +186,16 @@ class Dataset:
         return self.X.shape[1]
 
 
-def check_weights(w: np.ndarray, cfg: NetworkConfig, tol: float = 1e-12) -> np.ndarray:
-    """Validate a K x d weight matrix: per-row l1 norm at most 1."""
+def check_weights(w: np.ndarray, cfg: NetworkConfig, tol: float = 1e-12,
+                  batch: bool = False) -> np.ndarray:
+    """Validate a K x d weight matrix, or with batch a stack of them, shape
+    (..., K, d): every row's l1 norm at most 1."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (cfg.K, cfg.d):
-        raise ValueError(f"weight matrix must have shape ({cfg.K}, {cfg.d}), got {w.shape}")
-    norms = np.abs(w).sum(axis=1)
+    if w.shape[-2:] != (cfg.K, cfg.d) or (w.ndim > 2 and not batch):
+        lead = "..., " if batch else ""
+        raise ValueError(f"weight matrix must have shape ({lead}{cfg.K}, {cfg.d}), "
+                         f"got {w.shape}")
+    norms = np.abs(w).sum(axis=-1)
     if np.any(norms > 1.0 + tol):
         raise ValueError("every weight row must have l1 norm <= 1")
     return w
@@ -209,12 +213,15 @@ def eval_network(cfg: NetworkConfig, w: np.ndarray, x: np.ndarray) -> float:
 
 
 def eval_network_many(cfg: NetworkConfig, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Network outputs at every row of X (no per-call validation)."""
-    return cfg.activation.psi(np.asarray(w) @ np.asarray(X).T).T @ cfg.outer_weights
+    """Network outputs at every row of X, shape (..., N) for weights of shape
+    (..., K, d) (no per-call validation)."""
+    psi = cfg.activation.psi(np.asarray(w) @ np.asarray(X).T)  # (..., K, N)
+    return np.swapaxes(psi, -1, -2) @ cfg.outer_weights
 
 
 def residuals(cfg: NetworkConfig, w: np.ndarray, data: Dataset, n: int) -> np.ndarray:
-    """res_i(w) = y_i - f_w(x_i) for i = 1..n."""
+    """res_i(w) = y_i - f_w(x_i) for i = 1..n, shape (..., n) for weights of
+    shape (..., K, d)."""
     if not 0 <= n <= data.N:
         raise IndexError(f"prefix length n={n} out of range [0, {data.N}]")
     return data.y[:n] - eval_network_many(cfg, w, data.X[:n])
@@ -228,20 +235,22 @@ def residual(cfg: NetworkConfig, w: np.ndarray, data: Dataset, i: int) -> float:
     return float(data.y[i - 1] - eval_network(cfg, w, data.X[i - 1]))
 
 
-def loss(cfg: NetworkConfig, w: np.ndarray, data: Dataset, n: int) -> float:
-    """Half the sum of squared residuals over the first n observations."""
+def loss(cfg: NetworkConfig, w: np.ndarray, data: Dataset, n: int):
+    """Half the sum of squared residuals over the first n observations, one
+    value per K x d matrix of w (shape (..., K, d))."""
     r = residuals(cfg, w, data, n)
-    return 0.5 * float(r @ r)
+    return 0.5 * np.sum(r * r, axis=-1)
 
 
 def log_posterior_unnorm(cfg: NetworkConfig, w: np.ndarray, data: Dataset,
-                         n: int, beta: float) -> float:
-    """-beta * l_n(w): log posterior density relative to the prior.
+                         n: int, beta: float):
+    """-beta * l_n(w): log posterior density relative to the prior, one value
+    per K x d matrix of w (shape (..., K, d)).
 
     The additive normalizing constant is omitted.  w outside the prior
     support is a domain error (the support test is the caller's prior).
     """
-    check_weights(w, cfg)
+    check_weights(w, cfg, batch=True)
     return -beta * loss(cfg, w, data, n)
 
 

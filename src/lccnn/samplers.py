@@ -18,8 +18,11 @@ both stages.
 Reproducibility: every random draw comes from a counter-based Philox stream
 keyed by (seed, chain id) with the step index as counter, so identical seeds
 and configs give bit-identical chains regardless of scheduling.  Each step
-draws its proposal noise first, then one uniform only for in-support
-proposals.
+draws its proposal input first, then one uniform, whether or not the proposal
+lies in the support.  The loop draws those inputs and uniforms for BLOCK = 64
+steps at a time before it runs the steps; as no step reads another step's
+stream, the draws are the same as step by step, and proposals that do not
+depend on the chain state (the independence chain's) are scored together.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "ChainConfig",
     "ChainDiagnostics",
     "ChainRng",
-    "step_rng",
     "mala_chain",
     "independence_chain",
     "sample_reverse_conditional",
@@ -65,34 +67,23 @@ class SamplerError(RuntimeError):
     """Chain failure: bad initial state, NaN score, or inner-chain abort."""
 
 
-def step_rng(seed: int, chain_id: int, step: int) -> np.random.Generator:
-    """Counter-based generator for one chain step.
-
-    Philox keyed by (seed, chain_id) with the step index in the counter
-    block, so each step draws from its own stream.
-    """
-    bg = np.random.Philox(key=np.array([seed, chain_id], dtype=np.uint64),
-                          counter=np.array([0, 0, 0, step], dtype=np.uint64))
-    return np.random.Generator(bg)
-
-
 class ChainRng:
-    """Reusable counter-based stream: at(step) == step_rng(seed, id, step).
+    """Counter-based stream of one chain: at(step) is the generator
+    Generator(Philox(key=[seed, chain_id], counter=[0, 0, 0, step])).
 
-    One Philox instance is repositioned per step instead of constructed,
-    which keeps the per-step cost low without changing the stream.
+    One Philox instance is repositioned per step, by setting a kept state
+    whose counter is rewritten in place, instead of constructed.
     """
 
     def __init__(self, seed: int, chain_id: int):
         self._bg = np.random.Philox(key=np.array([seed, chain_id], dtype=np.uint64))
+        self._state = self._bg.state  # counter 0, empty buffer, no spare half-word
+        self._counter = self._state["state"]["counter"]
         self.gen = np.random.Generator(self._bg)
 
     def at(self, step: int) -> np.random.Generator:
-        state = self._bg.state
-        state["state"]["counter"][:] = 0
-        state["state"]["counter"][3] = step
-        state["buffer_pos"] = 4
-        self._bg.state = state
+        self._counter[3] = step
+        self._bg.state = self._state
         return self.gen
 
 
@@ -100,9 +91,11 @@ class ChainRng:
 class TargetDensity:
     """Density interface for the generic chain.
 
-    log_density_and_score(x) returns (log density, gradient) in one pass over
-    the data, and evaluate is the MALA kernel's one call to it; log_density
-    alone serves kernels that need no gradient.
+    log_density_and_score(x) returns (log density, gradient) at one point x of
+    shape (dimension,) in one pass over the data, and evaluate is the MALA
+    kernel's one call to it.  log_density serves kernels that need no
+    gradient: it takes a batch of points, shape (b, dimension), and returns
+    their log densities, shape (b,).
     """
 
     log_density: callable
@@ -206,14 +199,22 @@ def ess_estimate(samples: np.ndarray) -> float:
     return float(min(out))
 
 
-def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: float):
+BLOCK = 64  # steps whose proposal inputs are drawn and prepared together
+
+
+def _metropolis(draw, kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: float,
+                prepare=None):
     """The Metropolis step loop behind every chain in this module.
 
     state is a tuple (point, statistic, ...) of which the loop keeps the
     first two entries at each retained step; the rest is the kernel's.
-    kernel(rng, step, state, eps) draws its proposal from rng and returns None
-    when the proposal leaves the support, else (proposed state, log
-    acceptance ratio).  The loop then draws one uniform and accepts when
+    Steps run in blocks of BLOCK.  For each step of a block the loop
+    positions the chain's stream at the step, calls draw(rng) for the step's
+    proposal input, then draws the step's uniform.  prepare(inputs), when
+    given, maps the block's inputs to one prepared input per step in a
+    single call.  kernel(given, step, state, eps) proposes from its step's
+    input and returns None when the proposal leaves the support, else
+    (proposed state, log acceptance ratio).  The loop accepts when
     u < min(1, e^ratio); a NaN ratio rejects.  With cfg.adapt_step and
     eps > 0, dual averaging targets acceptance 0.574 during burn-in and the
     step size is frozen afterwards (kernels without a step size pass 0).
@@ -226,25 +227,33 @@ def _metropolis(kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: floa
     kept, kept_stat = [], []
     post_accepts = support_rejections = 0
     chain_rng = ChainRng(cfg.seed, chain_id)
-    for step in range(cfg.iterations):
-        rng = chain_rng.at(step)
-        move = kernel(rng, step, state, eps)
-        alpha = 0.0
-        if move is None:
-            support_rejections += 1
-        else:
-            prop, log_ratio = move
-            if not math.isnan(log_ratio):
-                alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            if rng.random() < alpha:
-                state = prop
-                if step >= burn_in:
-                    post_accepts += 1
-        if adapter is not None and step <= burn_in:
-            eps = adapter.update(alpha) if step < burn_in else adapter.frozen
-        if step >= burn_in and (step - burn_in) % thinning == 0:
-            kept.append(state[0].copy())
-            kept_stat.append(state[1])
+    for start in range(0, cfg.iterations, BLOCK):
+        steps = range(start, min(start + BLOCK, cfg.iterations))
+        inputs, uniforms = [], []
+        for step in steps:
+            rng = chain_rng.at(step)
+            inputs.append(draw(rng))
+            uniforms.append(rng.random())
+        if prepare is not None:
+            inputs = prepare(inputs)
+        for step, given, u in zip(steps, inputs, uniforms):
+            move = kernel(given, step, state, eps)
+            alpha = 0.0
+            if move is None:
+                support_rejections += 1
+            else:
+                prop, log_ratio = move
+                if not math.isnan(log_ratio):
+                    alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
+                if u < alpha:
+                    state = prop
+                    if step >= burn_in:
+                        post_accepts += 1
+            if adapter is not None and step <= burn_in:
+                eps = adapter.update(alpha) if step < burn_in else adapter.frozen
+            if step >= burn_in and (step - burn_in) % thinning == 0:
+                kept.append(state[0].copy())
+                kept_stat.append(state[1])
 
     points = np.array(kept)
     diag = ChainDiagnostics(
@@ -285,9 +294,11 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     if not np.all(np.isfinite(grad)):
         raise SamplerError("NaN in score at the initial state")
 
-    def kernel(rng, step, state, eps):
+    def draw(rng):
+        return rng.standard_normal(target.dimension)
+
+    def kernel(noise, step, state, eps):
         x, logp, grad = state
-        noise = rng.standard_normal(target.dimension)
         drift = 0.5 * eps * eps * grad
         prop = x + drift + eps * noise
         if not target.support_test(prop):
@@ -298,7 +309,7 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
         return ((prop, logp_prop, grad_prop),
                 logp_prop - logp + _langevin_correction(x, prop, drift, grad_prop, eps))
 
-    samples, _, _, diag = _metropolis(kernel, cfg, (x, logp, grad), chain_id,
+    samples, _, _, diag = _metropolis(draw, kernel, cfg, (x, logp, grad), chain_id,
                                       cfg.step_size)
     return samples, diag
 
@@ -312,19 +323,26 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
     target ratio).  Useful when the target is a light tilt of the prior,
     e.g. the reverse conditional in the small-beta*N regime, where gradient
     kernels fight the l1 boundary.  The chain has no step size: its
-    final_step_size is 0 and cfg.step_size is not used.
+    final_step_size is 0 and cfg.step_size is not used.  The proposals of
+    each block of steps are scored by one target.log_density call.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if not target.support_test(x):
         raise SamplerError("initial state outside the target support")
 
-    def kernel(rng, step, state, eps):
-        prop = np.asarray(proposal(rng), dtype=float).reshape(-1)
-        logp_prop = target.log_density(prop)
-        return (prop, logp_prop), logp_prop - state[1]
+    def draw(rng):
+        return np.asarray(proposal(rng), dtype=float).reshape(-1)
 
-    samples, _, _, diag = _metropolis(kernel, cfg, (x, target.log_density(x)),
-                                      chain_id, 0.0)
+    def prepare(props):
+        props = np.stack(props)
+        return zip(props, target.log_density(props))
+
+    def kernel(scored, step, state, eps):
+        return scored, scored[1] - state[1]
+
+    samples, _, _, diag = _metropolis(draw, kernel, cfg,
+                                      (x, target.log_density(x[None])[0]),
+                                      chain_id, 0.0, prepare)
     return samples, diag
 
 
@@ -371,9 +389,6 @@ def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
     xiT = xi.T  # (K, n)
     beta_c = beta * c[:, None]
 
-    def logd(flat):
-        return reverse_logdensity_unnorm(cfg, flat.reshape(K, d), xi, data, params)
-
     def fused(flat):
         w = flat.reshape(K, d)
         z = w @ XT                       # (K, n) preactivations
@@ -385,7 +400,8 @@ def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
         return logp, (coef @ X).reshape(-1)
 
     return TargetDensity(
-        log_density=logd,
+        log_density=lambda flats: reverse_logdensity_unnorm(
+            cfg, flats.reshape(-1, K, d), xi, data, params),
         log_density_and_score=fused,
         support_test=lambda flat: _l1_rows_ok(flat, K, d),
         dimension=K * d,
@@ -463,9 +479,11 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
         se = float(np.mean(_batch_means_se(proj))) * rho
         return xi_val, se, rho * (-xi_val + proj.mean(axis=0)), proj, samples[-1]
 
-    def kernel(rng, step, state, eps):
+    def draw(rng):
+        return rng.standard_normal((n, K))
+
+    def kernel(noise, step, state, eps):
         xi, _, score, proj, w_last = state
-        noise = rng.standard_normal((n, K))
         drift = 0.5 * eps * eps * score
         prop = xi + drift + eps * noise
         if not in_B(prop, X, params):
@@ -482,7 +500,7 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
             xi.ravel(), prop.ravel(), drift.ravel(), new[2].ravel(), eps)
 
     state = evaluate(np.zeros((n, K)), (chain_id + 1) * 10_000_000, np.zeros((K, cfg.d)))
-    samples, se, state, diag = _metropolis(kernel, outer_cfg, state, chain_id,
+    samples, se, state, diag = _metropolis(draw, kernel, outer_cfg, state, chain_id,
                                            outer_cfg.step_size)
     diag.extras = {"inner_score_se": se, "final_inner_state": state[4]}
     return samples, diag

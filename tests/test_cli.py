@@ -239,6 +239,10 @@ NAN_CSV = "x1,x2,y\n1.0,nan,0.1\n1.0,0.5,nan\n"
     ("bounds", "a0", 1e-300),  # K* underflows to 0, where the bound is undefined
     ("regret", "network.V", 1e-300),  # the fourth-root beta* divides by an underflowed P
     pytest.param("regret", "data", {"path": "nan.csv"}, id="regret-data.path-nan"),
+    ("sample", "seed", -1),
+    ("sample", "seed", 2 ** 64),  # past the 64-bit Philox key word
+    ("sample", "seed", 1e30),
+    ("regret", "data.synthetic.seed", 2 ** 64),
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -254,6 +258,18 @@ def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, 
     monkeypatch.chdir(tmp_path)  # data paths in the configs are relative
     flag = "--inputs" if command == "bounds" else "--config"
     assert main(["--output-dir", str(tmp_path / "out"), command, flag, cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", ["synth", "sample", "regret"])
+def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
+    base = {"synth": SYNTH_SPEC, "sample": SAMPLE_CONFIG, "regret": REGRET_CONFIG}[command]
+    path = _write(tmp_path / "cfg.json", base)
+    flag = "--spec" if command == "synth" else "--config"
+    assert main(["--output-dir", str(tmp_path / "out"), command, flag, path,
+                 "--seed", seed]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
 

@@ -155,6 +155,37 @@ class TestReverseDensity:
         assert reverse_logdensity_unnorm(cfg, w, xi, data, params) == pytest.approx(
             log_posterior_unnorm(cfg, w, data, 4, params.beta))
 
+    @pytest.mark.parametrize("act", [tanh_scaled(), squared_relu()],
+                             ids=["tanh", "squared_relu"])
+    def test_batch_matches_per_point(self, act):
+        # K*d = 300, the shape the independence chain scores 64 proposals at
+        cfg, data, params, rng = _setup(K=2, d=150, n=10, beta=0.8, seed=3, act=act)
+        prior = ContinuousL1Prior(d=150, K=2)
+        xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
+        w = np.stack([sample_continuous(prior, rng) for _ in range(64)])
+        batch = reverse_logdensity_unnorm(cfg, w, xi, data, params)
+        assert batch.shape == (64,)
+        X, y = data.X[:10], data.y[:10]
+        for wb, lb in zip(w, batch):
+            one = reverse_logdensity_unnorm(cfg, wb, xi, data, params)
+            res = y - act.psi(wb @ X.T).T @ cfg.outer_weights
+            gap = xi - X @ wb.T
+            ref = -0.5 * params.beta * (res @ res) - 0.5 * params.rho * np.sum(gap * gap)
+            assert abs(lb - one) <= 1e-12 * abs(one)
+            assert abs(lb - ref) <= 1e-12 * abs(ref)
+        nested = reverse_logdensity_unnorm(cfg, w.reshape(8, 8, 2, 150), xi, data, params)
+        assert nested.shape == (8, 8)
+        assert np.allclose(nested.ravel(), batch, rtol=1e-12, atol=0.0)
+
+    def test_batch_raises_when_any_row_leaves_the_ball(self):
+        cfg, data, params, rng = _setup(K=2, d=150, n=10, seed=4)
+        prior = ContinuousL1Prior(d=150, K=2)
+        w = np.stack([sample_continuous(prior, rng) for _ in range(5)])
+        xi = data.X @ w[0].T
+        w[3, 1] *= 1.01 / np.abs(w[3, 1]).sum()
+        with pytest.raises(ValueError, match="l1"):
+            reverse_logdensity_unnorm(cfg, w, xi, data, params)
+
     def test_score_matches_finite_differences(self):
         cfg, data, params, rng = _setup(K=2, d=3, n=5, seed=8)
         prior = ContinuousL1Prior(d=3, K=2)

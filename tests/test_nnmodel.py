@@ -8,6 +8,7 @@ import pytest
 from lccnn.nnmodel import (
     Dataset,
     NetworkConfig,
+    check_weights,
     eval_network,
     eval_network_many,
     log_posterior_unnorm,
@@ -89,6 +90,18 @@ class TestEvalNetwork:
             eval_network(cfg, np.zeros((1, 2)), np.array([1.5, 0.0]))
         with pytest.raises(ValueError, match="l1"):
             eval_network(cfg, np.array([[0.9, 0.9]]), np.array([1.0, 0.0]))
+
+    def test_batch_of_weights_only_where_asked(self):
+        cfg = _tanh_cfg(K=2, d=3)
+        w = np.zeros((4, 2, 3))
+        assert check_weights(w, cfg, batch=True).shape == (4, 2, 3)
+        with pytest.raises(ValueError, match="shape"):
+            check_weights(w, cfg)  # the single-matrix functions refuse a batch
+        with pytest.raises(ValueError, match="shape"):
+            check_weights(np.zeros((4, 3, 2)), cfg, batch=True)
+        w[2, 1, 0] = 1.5
+        with pytest.raises(ValueError, match="l1"):
+            check_weights(w, cfg, batch=True)
 
 
 class TestResidualAndLoss:

@@ -18,6 +18,7 @@ from lccnn.coupling import (
 from lccnn.estimators import _logsumexp
 from lccnn.samplers import (
     ChainConfig,
+    ChainRng,
     CouplingOracle1D,
     PosteriorQuadrature,
     SamplerError,
@@ -31,7 +32,6 @@ from lccnn.samplers import (
     sample_marginal_xi,
     sample_reverse_conditional,
     sample_reverse_conditional_prior_mh,
-    step_rng,
     two_stage_sample,
 )
 
@@ -141,13 +141,23 @@ class TestMalaChain:
             mala_chain(target, cfg, np.zeros(1))
 
 
-class TestStepRng:
-    def test_reproducible_and_step_indexed(self):
-        a = step_rng(5, 2, 10).standard_normal(4)
-        b = step_rng(5, 2, 10).standard_normal(4)
-        c = step_rng(5, 2, 11).standard_normal(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+class TestChainRng:
+    def test_at_is_the_fresh_counter_stream(self):
+        # steps out of order; each draw mixes 64-bit values with an odd count
+        # of 32-bit ones, so a half-word left over from one step would show
+        def draws(gen):
+            return (gen.standard_normal(4), gen.integers(0, 2, size=3),
+                    gen.standard_normal(2), gen.random())
+
+        rng = ChainRng(5, 2)
+        for step in (10, 3, 10, 0, 2 ** 40, 11, 3):
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([5, 2], dtype=np.uint64),
+                counter=np.array([0, 0, 0, step], dtype=np.uint64)))
+            for a, b in zip(draws(rng.at(step)), draws(fresh)):
+                assert np.array_equal(a, b)
+        assert not np.array_equal(rng.at(10).standard_normal(4),
+                                  rng.at(11).standard_normal(4))
 
 
 class TestReverseConditionalSampler:
@@ -215,7 +225,7 @@ class TestReverseConditionalTarget:
 class TestIndependenceChain:
     def test_uniform_proposals_match_quadrature(self):
         # exp(-x^2) on [-1, 1] with proposals uniform over the support
-        target = TargetDensity(log_density=lambda x: -float(x @ x),
+        target = TargetDensity(log_density=lambda xs: -np.sum(xs * xs, axis=1),
                                log_density_and_score=lambda x: (-float(x @ x), -2.0 * x),
                                support_test=lambda x: bool(abs(x[0]) <= 1.0),
                                dimension=1)
