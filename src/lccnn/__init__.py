@@ -29,6 +29,7 @@ from .priors import (
     discretize_weights,
     enumerate_grid,
     grid_cardinality,
+    l1_ball_rows,
     prior_moment_bound,
     sample_continuous,
     sample_grid_uniform,

@@ -485,8 +485,11 @@ def cmd_verify(args) -> int:
     results = [SUITES[n]() for n in names]
     failures = 0
     for r in results:
-        status = "PASS" if r["passed"] else "FAIL"
-        print(f"{status} {r['suite']:<14} margin={r['margin']:+.3e}  {r['detail']}")
+        if args.json:
+            print(json.dumps(r))
+        else:
+            status = "PASS" if r["passed"] else "FAIL"
+            print(f"{status} {r['suite']:<14} margin={r['margin']:+.3e}  {r['detail']}")
         failures += 0 if r["passed"] else 1
     if failures:
         raise OracleError(f"{failures} verification suite(s) failed")
@@ -515,7 +518,7 @@ def cmd_bounds(args) -> int:
             br = bound_calculator(kind, inputs, non_odd=non_odd)
             row = br.as_dict()
             if kind != "log_regret":
-                opt = optimal_hyperparams(kind, inputs)
+                opt = optimal_hyperparams(kind, inputs, non_odd=non_odd)
                 row.update({"beta_star": opt.beta_star, "K_star": opt.K_star,
                             "M_star": opt.M_star, "bound_at_opt": opt.bound_continuous,
                             "closed_form": opt.closed_form})
@@ -621,6 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("suites", nargs="*", help=f"subset of {sorted(SUITES)}; empty = all")
+    pv.add_argument("--json", action="store_true",
+                    help="print one JSON record per suite instead of the table")
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bounds", help="tabulate every closed-form bound")

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ContinuousL1Prior",
     "DiscreteGridPrior",
+    "l1_ball_rows",
     "sample_continuous",
     "coordinate_second_moment",
     "enumerate_grid",
@@ -61,16 +62,22 @@ class DiscreteGridPrior:
             raise ValueError("the grid prior requires M <= d")
 
 
-def sample_continuous(prior: ContinuousL1Prior, rng: np.random.Generator) -> np.ndarray:
-    """Draw a K x d matrix with rows iid uniform on the l1 ball.
+def l1_ball_rows(exponentials: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
+    """Rows uniform on the l1 ball from standard exponentials (..., d+1) and
+    uniform sign bits (..., d), over any leading batch axes.
 
-    |w_k| is Dirichlet(1,...,1) in d+1 dimensions with the slack coordinate
-    dropped, and each kept coordinate gets an independent uniform sign.
+    |w| is the exponentials over their sum, a Dirichlet(1,...,1) in d+1
+    dimensions, with the slack coordinate dropped; bit 1 is a + sign.
     """
+    g = exponentials
+    return g[..., :-1] / g.sum(axis=-1, keepdims=True) * (2.0 * sign_bits - 1.0)
+
+
+def sample_continuous(prior: ContinuousL1Prior, rng: np.random.Generator) -> np.ndarray:
+    """Draw a K x d matrix with rows iid uniform on the l1 ball (l1_ball_rows
+    of K x (d+1) exponentials, then K x d sign bits, drawn in that order)."""
     g = rng.standard_exponential(size=(prior.K, prior.d + 1))
-    mags = g[:, : prior.d] / g.sum(axis=1, keepdims=True)
-    signs = rng.integers(0, 2, size=(prior.K, prior.d)) * 2 - 1
-    return mags * signs
+    return l1_ball_rows(g, rng.integers(0, 2, size=(prior.K, prior.d)))
 
 
 def coordinate_second_moment(d: int) -> dict:

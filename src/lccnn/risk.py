@@ -341,7 +341,8 @@ class OptimalParams:
     closed_form: float
 
 
-def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0) -> OptimalParams:
+def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0,
+                        non_odd: bool = False) -> OptimalParams:
     """The bound-optimizing (beta*, K*, M*) and the resulting closed forms.
 
     square_regret / msr: all three are fourth-root power laws in
@@ -349,28 +350,37 @@ def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0) ->
     property), only K* and M* are optimized, each a cube-root law.  m2_msr:
     the stated 2/7-1/7 powers (rate-optimal; no exact constants are
     optimized, so stationarity holds only for the other kinds).
+
+    non_odd optimizes the sum bound_calculator(..., non_odd=True) adds up:
+    (V, K) -> (2V, 2K) and a doubled width term.  K_star and K_int stay in
+    the caller's K units.
     """
-    a0v = inputs.a0 * inputs.V
+    f = 2.0 if non_odd else 1.0
+    V = f * inputs.V
+    a0v = inputs.a0 * V
+    # the doubled width term f a0v^2 / (2K) is a0v_w^2 / (2K), so the optimum
+    # reads a0v_w wherever a0v enters through the width term
+    a0v_w = math.sqrt(f) * a0v
     L = math.log(2.0 * inputs.d + 1.0)
 
     if kind in ("square_regret", "msr"):
-        _, N_eff, w, P, B = _ingredients(kind, inputs, inputs.V)
+        _, N_eff, w, P, B = _ingredients(kind, inputs, V)
         Q, ratio = 0.5 * w, L / N_eff
-        g1 = math.sqrt(a0v) * Q ** 0.25 / (2.0 * P ** 1.5 * B ** 0.75)
-        g2 = a0v ** 1.5 / (2.0 * math.sqrt(P) * B ** 0.25 * Q ** 0.25)
-        g3 = Q ** 0.75 / (math.sqrt(a0v) * math.sqrt(P) * B ** 0.25)
+        g1 = math.sqrt(a0v_w) * Q ** 0.25 / (2.0 * P ** 1.5 * B ** 0.75)
+        g2 = a0v_w ** 1.5 / (2.0 * math.sqrt(P) * B ** 0.25 * Q ** 0.25)
+        g3 = Q ** 0.75 / (math.sqrt(a0v_w) * math.sqrt(P) * B ** 0.25)
         beta_star = g1 * ratio ** 0.25
         K_star = g2 * ratio ** -0.25
         M_star = g3 * ratio ** -0.25
-        closed = 4.0 * math.sqrt(a0v * P) * (B * Q) ** 0.25 * ratio ** 0.25 + proj_sq
+        closed = 4.0 * math.sqrt(a0v_w * P) * (B * Q) ** 0.25 * ratio ** 0.25 + proj_sq
     elif kind == "kl":
-        _, N_eff, w, _, _ = _ingredients(kind, inputs, inputs.V)
+        _, N_eff, w, _, _ = _ingredients(kind, inputs, V)
         ratio = L / N_eff
         beta_star = inputs.beta  # pinned: inverse data variance, not a free knob
         half_beta = 0.5 * beta_star
-        K_star = (half_beta * a0v ** 4 / (w * ratio)) ** (1.0 / 3.0)
-        M_star = (half_beta * w ** 2 / (a0v ** 2 * ratio)) ** (1.0 / 3.0)
-        closed = (3.0 * half_beta ** (2.0 / 3.0) * a0v ** (2.0 / 3.0)
+        K_star = (half_beta * a0v_w ** 4 / (w * ratio)) ** (1.0 / 3.0)
+        M_star = (half_beta * w ** 2 / (a0v_w ** 2 * ratio)) ** (1.0 / 3.0)
+        closed = (3.0 * half_beta ** (2.0 / 3.0) * a0v_w ** (2.0 / 3.0)
                   * w ** (1.0 / 3.0) * ratio ** (1.0 / 3.0) + beta_star * proj_sq)
     elif kind == "m2_msr":
         ratio = L / (inputs.N + 1)
@@ -378,14 +388,15 @@ def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0) ->
         K_star = ratio ** (-2.0 / 7.0)
         M_star = ratio ** (-1.0 / 7.0)
         closed = ratio ** (2.0 / 7.0) * (
-            ratio ** (1.0 / 7.0) + a0v ** 2 / 2.0 + inputs.a2 ** 2 * inputs.V ** 2 / 8.0
+            ratio ** (1.0 / 7.0) + a0v_w ** 2 / 2.0 + inputs.a2 ** 2 * V ** 2 / 8.0
             + 2.0 * a0v ** 2 * (inputs.sigma + a0v) ** 2)
     else:
         raise ValueError(f"no optimal hyperparameters for kind {kind!r}")
+    K_star /= f  # back from the doubled units
 
     def bound_at(K, M, beta):
         return bound_calculator(kind, replace(inputs, K=K, M=M, beta=beta),
-                                proj_sq=proj_sq).total
+                                proj_sq=proj_sq, non_odd=non_odd).total
 
     K_int = max(1, round(K_star))
     M_int = max(1, round(M_star))

@@ -23,6 +23,9 @@ lies in the support.  The loop draws those inputs and uniforms for BLOCK = 64
 steps at a time before it runs the steps; as no step reads another step's
 stream, the draws are the same as step by step, and proposals that do not
 depend on the chain state (the independence chain's) are scored together.
+With prior proposals a step draws only raw values, its exponentials and the
+raw Philox words whose bits are its signs, and each block's proposals are
+built from them by one priors.l1_ball_rows call.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .coupling import (
     stacked_projection,
 )
 from .estimators import _logsumexp, _sq_residual_sums, product_table
+from .priors import l1_ball_rows
 
 __all__ = [
     "SamplerError",
@@ -85,6 +89,15 @@ class ChainRng:
         self._counter[3] = step
         self._bg.state = self._state
         return self.gen
+
+
+def _sign_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """The m bits Generator.integers(0, 2, m) returns from a stream that holds
+    no spare 32-bit half-word (a ChainRng.at stream, also after 64-bit draws)
+    and whose next raw 64-bit words are words (..., ceil(m/2)): it splits each
+    word into 32-bit halves, low half first, and keeps each half's top bit."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    return (halves >> 31)[..., :m]
 
 
 @dataclass
@@ -318,23 +331,25 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
                        x0: np.ndarray, chain_id: int = 0):
     """Independence Metropolis chain with a user-supplied proposal sampler.
 
-    proposal(rng) must return draws from a fixed distribution that is
+    proposal is a pair (draw, build).  draw(rng) returns one step's raw
+    random arrays as a tuple; build(*stacks) takes each of them stacked over
+    a block's steps and returns the block's proposals, shape (steps,
+    dimension).  The proposals must come from a fixed distribution that is
     uniform over the target support (so the Hastings ratio reduces to the
     target ratio).  Useful when the target is a light tilt of the prior,
     e.g. the reverse conditional in the small-beta*N regime, where gradient
     kernels fight the l1 boundary.  The chain has no step size: its
     final_step_size is 0 and cfg.step_size is not used.  The proposals of
-    each block of steps are scored by one target.log_density call.
+    each block of steps are built by one build call and scored by one
+    target.log_density call.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if not target.support_test(x):
         raise SamplerError("initial state outside the target support")
+    draw, build = proposal
 
-    def draw(rng):
-        return np.asarray(proposal(rng), dtype=float).reshape(-1)
-
-    def prepare(props):
-        props = np.stack(props)
+    def prepare(raws):
+        props = build(*map(np.stack, zip(*raws)))
         return zip(props, target.log_density(props))
 
     def kernel(scored, step, state, eps):
@@ -353,21 +368,25 @@ def sample_reverse_conditional_prior_mh(cfg: NetworkConfig, data: Dataset,
 
     Exact MCMC for p*(w|xi); efficient when beta*l_n and the coupling
     quadratic vary by O(1) over the prior support (the marginal-concavity
-    probe regime, where d is large and beta N is small).
+    probe regime, where d is large and beta N is small).  Step s proposes,
+    byte for byte, sample_continuous at the stream ChainRng(seed, chain_id).at(s).
     """
-    from .priors import ContinuousL1Prior, sample_continuous
-
     if not in_B(xi, data.X[: params.n], params):
         raise ValueError("xi must lie in the constraint set B")
     target = reverse_conditional_target(cfg, data, params, xi)
-    prior = ContinuousL1Prior(d=cfg.d, K=cfg.K)
+    K, d = cfg.K, cfg.d
+    n_words = (K * d + 1) // 2  # 64-bit words that hold K*d 32-bit sign draws
 
-    def proposal(rng):
-        return sample_continuous(prior, rng).reshape(-1)
+    def draw(rng):
+        return rng.standard_exponential((K, d + 1)), rng.bit_generator.random_raw(n_words)
 
-    samples, diag = independence_chain(target, chain_cfg, proposal,
-                                       np.zeros(cfg.K * cfg.d), chain_id=chain_id)
-    return samples.reshape(-1, cfg.K, cfg.d), diag
+    def build(exponentials, words):
+        signs = _sign_bits(words, K * d).reshape(-1, K, d)
+        return l1_ball_rows(exponentials, signs).reshape(len(words), K * d)
+
+    samples, diag = independence_chain(target, chain_cfg, (draw, build),
+                                       np.zeros(K * d), chain_id=chain_id)
+    return samples.reshape(-1, K, d), diag
 
 
 def _l1_rows_ok(flat: np.ndarray, K: int, d: int) -> bool:

@@ -19,7 +19,7 @@ from lccnn.cli import (
 )
 from lccnn.estimators import product_f_table, sequential_discrete_posteriors
 from lccnn.priors import DiscreteGridPrior, enumerate_grid
-from lccnn.risk import regret_ledger, streamed_regret_ledger
+from lccnn.risk import BoundInputs, bound_calculator, regret_ledger, streamed_regret_ledger
 from lccnn.verify import SUITES
 
 
@@ -290,6 +290,22 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines] == [["PASS", name] for name in SUITES]
 
+    def test_json_records(self, capsys, monkeypatch):
+        assert main(["verify", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["suite"] for r in records] == list(SUITES)
+        for r in records:
+            assert r["passed"] is True
+            assert isinstance(r["margin"], float) and isinstance(r["detail"], str)
+        assert records[0]["residual"] <= 1e-12  # a suite's own field
+        monkeypatch.setitem(SUITES, "telescope", lambda: {
+            "suite": "telescope", "passed": False, "margin": -1.0, "detail": ""})
+        assert main(["verify", "--json", "telescope"]) == 4
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"suite": "telescope", "passed": False, "margin": -1.0,
+                          "detail": ""}
+        assert main(["verify", "--json", "nope"]) == 2
+
     def test_failing_suite_exits_4(self, capsys, monkeypatch):
         monkeypatch.setitem(SUITES, "telescope", lambda: {
             "suite": "telescope", "passed": False, "margin": -1.0, "detail": ""})
@@ -316,6 +332,22 @@ class TestBounds:
             <= 1e-9 * float(sq["closed_form"])
         # monotonicity spot rows present
         assert any("N_doubled" in r["kind"] for r in rows)
+
+    def test_non_odd_optimum_columns(self, tmp_path):
+        # the optimum columns are those of the non-odd sum on the same row
+        inputs = dict(self.INPUTS, non_odd=True)
+        path = _write(tmp_path / "inputs.json", inputs)
+        assert main(["--output-dir", str(tmp_path), "bounds", "--inputs", path]) == 0
+        rows = list(csv.DictReader((tmp_path / f"bounds_{config_hash(inputs)}.csv").open(),
+                                   skipinitialspace=True))
+        for kind in ("square_regret", "msr", "kl"):
+            row = next(r for r in rows if r["kind"] == kind)
+            at_opt = BoundInputs(**dict(self.INPUTS, K=float(row["K_star"]),
+                                        M=float(row["M_star"]),
+                                        beta=float(row["beta_star"])))
+            total = bound_calculator(kind, at_opt, non_odd=True).total
+            assert float(row["bound_at_opt"]) == pytest.approx(total, rel=1e-9)
+            assert float(row["closed_form"]) == pytest.approx(total, rel=1e-9)
 
     def test_kl_consistency_warning(self, tmp_path, capsys):
         path = _write(tmp_path / "inputs.json", dict(self.INPUTS, beta=3.0))

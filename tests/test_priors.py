@@ -14,6 +14,7 @@ from lccnn.priors import (
     discretize_weights,
     enumerate_grid,
     grid_cardinality,
+    l1_ball_rows,
     prior_moment_bound,
     sample_continuous,
     sample_grid_uniform,
@@ -42,6 +43,21 @@ class TestContinuousSampling:
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(mean) <= 3.0 * se)
+
+    @pytest.mark.parametrize("K, d", [(1, 1), (3, 5), (2, 150)])
+    def test_batched_rows_equal_row_by_row_draws(self, K, d):
+        # one l1_ball_rows call on a (64, K, d+1) stack gives, byte for byte,
+        # the 64 sample_continuous draws made from the same streams
+        prior = ContinuousL1Prior(d=d, K=K)
+        g, bits, rows = [], [], []
+        for seed in range(64):
+            rows.append(sample_continuous(prior, np.random.default_rng(seed)))
+            rng = np.random.default_rng(seed)
+            g.append(rng.standard_exponential((K, d + 1)))
+            bits.append(rng.integers(0, 2, size=(K, d)))
+        batch = l1_ball_rows(np.stack(g), np.stack(bits))
+        assert batch.shape == (64, K, d)
+        assert batch.tobytes() == np.stack(rows).tobytes()
 
 
 class TestCoordinateSecondMoment:

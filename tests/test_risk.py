@@ -272,6 +272,19 @@ class TestOptimalHyperparams:
                 # relative stationarity: gradient * scale / value
                 assert abs(grad) * point[name] / f0 < 1e-6
 
+    @pytest.mark.parametrize("kind", ["square_regret", "msr", "kl"])
+    def test_non_odd_optimum_is_that_of_the_non_odd_sum(self, kind):
+        # non_odd=True optimizes the sum bound_calculator(..., non_odd=True)
+        # adds up, so its closed form is that sum at (K*, M*, beta*), with K*
+        # in the caller's units
+        inputs = _inputs(b=0.7, C_N=1.9, sigma=1.3, N=4000, d=5, beta=1.0 / 1.3 ** 2)
+        opt = optimal_hyperparams(kind, inputs, non_odd=True)
+        at_opt = BoundInputs(**{**inputs.__dict__, "K": opt.K_star, "M": opt.M_star,
+                                "beta": opt.beta_star})
+        assert opt.bound_continuous == bound_calculator(kind, at_opt, non_odd=True).total
+        assert opt.closed_form == pytest.approx(opt.bound_continuous, rel=1e-9)
+        assert opt.closed_form > optimal_hyperparams(kind, inputs).closed_form
+
 
 class TestApproximationWitness:
     def test_single_grid_neuron_exact(self):

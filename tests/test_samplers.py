@@ -25,6 +25,7 @@ from lccnn.samplers import (
     TargetDensity,
     TwoStageBudgets,
     _row_grid,
+    _sign_bits,
     ess_estimate,
     independence_chain,
     mala_chain,
@@ -159,6 +160,28 @@ class TestChainRng:
         assert not np.array_equal(rng.at(10).standard_normal(4),
                                   rng.at(11).standard_normal(4))
 
+    @pytest.mark.parametrize("m", [1, 2, 15, 300])
+    @pytest.mark.parametrize("exponentials", [0, 3])
+    def test_raw_word_sign_bits_are_integers_0_2(self, m, exponentials):
+        # the prior-MH step's draws: exponentials, then the sign bits from
+        # ceil(m/2) raw words, then the uniform, which must be unchanged
+        rng = ChainRng(11, 4)
+        for step in (0, 5, 63, 64, 2 ** 33):
+            gen = rng.at(step)
+            g_ref = gen.standard_exponential(exponentials)
+            bits_ref = gen.integers(0, 2, size=m)
+            u_ref = gen.random()
+            gen = rng.at(step)
+            g = gen.standard_exponential(exponentials)
+            bits = _sign_bits(gen.bit_generator.random_raw((m + 1) // 2), m)
+            assert g.tobytes() == g_ref.tobytes()
+            assert np.array_equal(bits, bits_ref)
+            assert gen.random() == u_ref
+        # leading batch axes: one row per step, as the chain stacks them
+        words = np.stack([rng.at(s).bit_generator.random_raw((m + 1) // 2) for s in range(3)])
+        assert np.array_equal(_sign_bits(words, m),
+                              [rng.at(s).integers(0, 2, size=m) for s in range(3)])
+
 
 class TestReverseConditionalSampler:
     def test_matches_quadrature_mean(self):
@@ -232,8 +255,7 @@ class TestIndependenceChain:
         cfg = ChainConfig(step_size=0.5, iterations=20_000, burn_in=1_000,
                           thinning=1, seed=4)
 
-        def proposal(rng):
-            return rng.uniform(-1.0, 1.0, size=1)
+        proposal = (lambda rng: (rng.uniform(-1.0, 1.0, size=1),), lambda u: u)
 
         samples, diag = independence_chain(target, cfg, proposal, np.zeros(1))
         x = samples[:, 0]
@@ -263,6 +285,39 @@ class TestIndependenceChain:
         se = samples[:, 0, 0].std(ddof=1) / math.sqrt(max(diag.ess_estimate, 1.0))
         assert abs(est - truth) <= 4 * se
         assert 0.0 < diag.acceptance_rate <= 1.0
+
+    @pytest.mark.parametrize("K, d, n", [(1, 1, 2), (3, 5, 4), (2, 150, 10)])
+    def test_prior_mh_equals_step_by_step_reference(self, K, d, n):
+        # step s proposes sample_continuous at the fresh stream ChainRng(seed,
+        # 0).at(s) and then draws its uniform; 300 steps end in a partial block
+        rng = np.random.default_rng(40 + K * d)
+        X = rng.uniform(-1, 1, size=(n, d))
+        X[:, 0] = 1.0
+        data = Dataset(X=X, y=rng.uniform(-1, 1, size=n))
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
+        params = CouplingParams.from_config(cfg, data, n=n, beta=0.05)
+        prior = ContinuousL1Prior(d=d, K=K)
+        xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
+        chain = ChainConfig(step_size=1.0, iterations=300, burn_in=50, thinning=1, seed=6)
+        samples, diag = sample_reverse_conditional_prior_mh(cfg, data, params, xi, chain)
+
+        target = reverse_conditional_target(cfg, data, params, xi)
+        streams = ChainRng(chain.seed, 0)
+        x = np.zeros(K * d)
+        logp = target.log_density(x[None])[0]
+        kept, accepts = [], 0
+        for step in range(chain.iterations):
+            gen = streams.at(step)
+            prop = sample_continuous(prior, gen).reshape(-1)
+            u = gen.random()
+            logp_prop = target.log_density(prop[None])[0]
+            if u < min(1.0, math.exp(min(logp_prop - logp, 0.0))):
+                x, logp = prop, logp_prop
+                accepts += step >= chain.burn_in
+            if step >= chain.burn_in:
+                kept.append(x.copy())
+        assert samples.tobytes() == np.array(kept).reshape(-1, K, d).tobytes()
+        assert diag.acceptance_rate == accepts / (chain.iterations - chain.burn_in)
 
 
 class TestMarginalXi:
