@@ -434,8 +434,11 @@ def cmd_sample(args) -> int:
     if n > data.N:
         raise ConfigError(f"sampler.n = {n} exceeds the {data.N} data points")
     beta = resolve_beta(ec.beta, cfg, data, n)
-    params = CouplingParams.from_config(cfg, data, n=n, beta=beta)
-    report = check_logconcavity_conditions(cfg, data, beta, N=n)
+    try:  # a huge response can overflow the coupling constants
+        params = CouplingParams.from_config(cfg, data, n=n, beta=beta)
+        report = check_logconcavity_conditions(cfg, data, beta, N=n)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"coupling constants at beta = {beta!r}: {exc}") from exc
 
     chains = {key: replace(chain, seed=ec.seed) for key, chain in ec.chains.items()}
     budgets = TwoStageBudgets(**chains, n_xi=ec.n_xi)
@@ -465,9 +468,13 @@ def cmd_sample(args) -> int:
         json.dump({"config_hash": hash_,
                    "outer_acceptance": diag["outer"].acceptance_rate,
                    "outer_ess": diag["outer"].ess_estimate,
+                   "outer_step_size": diag["outer"].final_step_size,
                    "outer_support_rejections": diag["outer"].support_rejections,
+                   "inner_score_se_mean": float(np.mean(diag["outer"].extras["inner_score_se"])),
+                   "inner_score_se_max": float(np.max(diag["outer"].extras["inner_score_se"])),
                    "n_xi": diag["n_xi"],
                    "conditional_acceptance_mean": diag["conditional_acceptance_mean"],
+                   "conditional_support_rejections": diag["conditional_support_rejections"],
                    "n_draws": int(len(draws))}, fh, sort_keys=True, indent=1)
     print(f"wrote {len(draws)} draws to {chain_path}")
     return 0
@@ -578,8 +585,6 @@ def cmd_regret(args) -> int:
     # reads its first Nn rows
     beta_full = resolve_beta(ec.beta, cfg, data, data.N)
     ledger = streamed_regret_ledger(cfg, f_rows, data.y, g_vals, beta_full)
-    ledger_path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")
-    _ledger_csv(ledger_path, ledger, hash_)
 
     rows = []
     # the dyadic N = 2, 4, 8, ... up to data.N, or N = 1 alone
@@ -589,8 +594,14 @@ def cmd_regret(args) -> int:
             cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
         inp = _bound_inputs(cfg, data, Nn, b=float(np.max(np.abs(g_vals[:Nn]))),
                             sigma=0.0, M=prior.M, K=cfg.K, beta=beta_n)
-        br = bound_calculator("square_regret", inp)
-        rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square, "bound": br.total})
+        try:  # a huge response can overflow the bound's terms
+            bound = bound_calculator("square_regret", inp).total
+        except ArithmeticError as exc:
+            raise ConfigError(f"square-regret bound at N = {Nn}: {exc}") from exc
+        rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square, "bound": bound})
+    # written only now, so an input whose bound fails leaves no files behind
+    ledger_path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")
+    _ledger_csv(ledger_path, ledger, hash_)
     comp_path = _out_path(ec.output_dir, f"regret_vs_bound_{hash_}.csv")
     _write_csv(comp_path, ["N", "beta", "R_square", "bound"], rows, f"config_hash={hash_}")
     print(f"wrote {ledger_path} and {comp_path}")

@@ -2,8 +2,9 @@
 
 The continuous prior draws each weight row uniformly from the l1 ball via a
 symmetric Dirichlet(1,...,1) in d+1 dimensions (drop the slack coordinate)
-with independent random signs.  The discrete prior is uniform on the grid
-of points with coordinates in multiples of 1/M and l1 norm at most 1.
+with independent random signs (raw generator bits).  The discrete prior is
+uniform on the grid of points with coordinates in multiples of 1/M and l1
+norm at most 1.
 
 Also here: exact Dirichlet mixed moments, the prior moment bound used by the
 Hoelder machinery, and the randomized multinomial discretization that maps a
@@ -69,15 +70,23 @@ def l1_ball_rows(exponentials: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
     |w| is the exponentials over their sum, a Dirichlet(1,...,1) in d+1
     dimensions, with the slack coordinate dropped; bit 1 is a + sign.
     """
-    g = exponentials
-    return g[..., :-1] / g.sum(axis=-1, keepdims=True) * (2.0 * sign_bits - 1.0)
+    signs = sign_bits.astype(float)  # before any arithmetic: no integer x float loop
+    signs *= 2.0
+    signs -= 1.0
+    rows = exponentials[..., :-1] / exponentials.sum(axis=-1, keepdims=True)
+    rows *= signs
+    return rows
 
 
 def sample_continuous(prior: ContinuousL1Prior, rng: np.random.Generator) -> np.ndarray:
-    """Draw a K x d matrix with rows iid uniform on the l1 ball (l1_ball_rows
-    of K x (d+1) exponentials, then K x d sign bits, drawn in that order)."""
-    g = rng.standard_exponential(size=(prior.K, prior.d + 1))
-    return l1_ball_rows(g, rng.integers(0, 2, size=(prior.K, prior.d)))
+    """Draw a K x d matrix with rows iid uniform on the l1 ball: l1_ball_rows
+    of K x (d+1) standard exponentials, then ceil(K d / 64) raw 64-bit words,
+    whose bit j mod 64 of word j // 64 (least significant first) is sign j."""
+    K, d = prior.K, prior.d
+    g = rng.standard_exponential(size=(K, d + 1))
+    words = rng.bit_generator.random_raw(-(-K * d // 64))
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), count=K * d, bitorder="little")
+    return l1_ball_rows(g, bits.reshape(K, d))
 
 
 def coordinate_second_moment(d: int) -> dict:

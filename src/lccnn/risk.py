@@ -372,7 +372,8 @@ def optimal_hyperparams(kind: str, inputs: BoundInputs, proj_sq: float = 0.0,
         beta_star = g1 * ratio ** 0.25
         K_star = g2 * ratio ** -0.25
         M_star = g3 * ratio ** -0.25
-        closed = 4.0 * math.sqrt(a0v_w * P) * (B * Q) ** 0.25 * ratio ** 0.25 + proj_sq
+        closed = (4.0 * math.sqrt(a0v_w * P) * (B * Q) ** 0.25 * ratio ** 0.25
+                  + (proj_sq if kind == "msr" else 0.0))  # regret kinds carry residual_term
     elif kind == "kl":
         _, N_eff, w, _, _ = _ingredients(kind, inputs, V)
         ratio = L / N_eff

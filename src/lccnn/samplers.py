@@ -15,17 +15,11 @@ two_stage_sample then draws w from the log-concave reverse conditional at
 retained xi values.  Small-scale quadrature oracles provide ground truth for
 both stages.
 
-Reproducibility: every random draw comes from a counter-based Philox stream
-keyed by (seed, chain id) with the step index as counter, so identical seeds
-and configs give bit-identical chains regardless of scheduling.  Each step
-draws its proposal input first, then one uniform, whether or not the proposal
-lies in the support.  The loop draws those inputs and uniforms for BLOCK = 64
-steps at a time before it runs the steps; as no step reads another step's
-stream, the draws are the same as step by step, and proposals that do not
-depend on the chain state (the independence chain's) are scored together.
-With prior proposals a step draws only raw values, its exponentials and the
-raw Philox words whose bits are its signs, and each block's proposals are
-built from them by one priors.l1_ball_rows call.
+Reproducibility: every draw comes from a counter-based Philox stream keyed by
+(seed, chain id) (ChainRng), so identical seeds and configs give bit-identical
+chains regardless of scheduling.  MALA and the outer xi chain use one stream
+per step; the independence chain, whose proposals ignore the chain state, one
+stream per block of BLOCK = 64 steps, and BLOCK is part of its contract.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ from .coupling import (
     stacked_projection,
 )
 from .estimators import _logsumexp, _sq_residual_sums, product_table
-from .priors import l1_ball_rows
+from .priors import ContinuousL1Prior, sample_continuous
 
 __all__ = [
     "SamplerError",
@@ -72,11 +66,10 @@ class SamplerError(RuntimeError):
 
 
 class ChainRng:
-    """Counter-based stream of one chain: at(step) is the generator
-    Generator(Philox(key=[seed, chain_id], counter=[0, 0, 0, step])).
-
-    One Philox instance is repositioned per step, by setting a kept state
-    whose counter is rewritten in place, instead of constructed.
+    """Streams of one chain: at(step) and block(b) are Generator(Philox(key=
+    [seed, chain_id], counter=[0, 0, 0, step] and [0, 0, 1, b])), never the
+    same counter.  One Philox is repositioned by setting a kept state whose
+    counter words both methods rewrite in place, instead of constructed.
     """
 
     def __init__(self, seed: int, chain_id: int):
@@ -86,18 +79,16 @@ class ChainRng:
         self.gen = np.random.Generator(self._bg)
 
     def at(self, step: int) -> np.random.Generator:
+        self._counter[2] = 0
         self._counter[3] = step
         self._bg.state = self._state
         return self.gen
 
-
-def _sign_bits(words: np.ndarray, m: int) -> np.ndarray:
-    """The m bits Generator.integers(0, 2, m) returns from a stream that holds
-    no spare 32-bit half-word (a ChainRng.at stream, also after 64-bit draws)
-    and whose next raw 64-bit words are words (..., ceil(m/2)): it splits each
-    word into 32-bit halves, low half first, and keeps each half's top bit."""
-    halves = words.astype("<u8", copy=False).view("<u4")
-    return (halves >> 31)[..., :m]
+    def block(self, b: int) -> np.random.Generator:
+        self._counter[2] = 1
+        self._counter[3] = b
+        self._bg.state = self._state
+        return self.gen
 
 
 @dataclass
@@ -212,43 +203,50 @@ def ess_estimate(samples: np.ndarray) -> float:
     return float(min(out))
 
 
-BLOCK = 64  # steps whose proposal inputs are drawn and prepared together
+BLOCK = 64  # steps whose random inputs are drawn together
 
 
-def _metropolis(draw, kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps: float,
-                prepare=None):
+def _per_step(draw):
+    """The block draw of a chain with one stream per step: step s calls
+    draw(ChainRng.at(s)) for its proposal input, then draws its uniform."""
+    def draw_block(chain_rng, steps):
+        inputs, uniforms = [], []
+        for step in steps:
+            rng = chain_rng.at(step)
+            inputs.append(draw(rng))
+            uniforms.append(rng.random())
+        return inputs, uniforms
+    return draw_block
+
+
+def _metropolis(draw_block, kernel, cfg: ChainConfig, state: tuple, chain_id: int,
+                eps: float):
     """The Metropolis step loop behind every chain in this module.
 
     state is a tuple (point, statistic, ...) of which the loop keeps the
     first two entries at each retained step; the rest is the kernel's.
-    Steps run in blocks of BLOCK.  For each step of a block the loop
-    positions the chain's stream at the step, calls draw(rng) for the step's
-    proposal input, then draws the step's uniform.  prepare(inputs), when
-    given, maps the block's inputs to one prepared input per step in a
-    single call.  kernel(given, step, state, eps) proposes from its step's
-    input and returns None when the proposal leaves the support, else
-    (proposed state, log acceptance ratio).  The loop accepts when
-    u < min(1, e^ratio); a NaN ratio rejects.  With cfg.adapt_step and
-    eps > 0, dual averaging targets acceptance 0.574 during burn-in and the
-    step size is frozen afterwards (kernels without a step size pass 0).
+    Steps run in blocks of BLOCK.  draw_block(chain_rng, steps), given the
+    chain's ChainRng and a block's range of steps, returns that block's
+    proposal inputs and uniforms, one of each per step.  kernel(given, step,
+    state, eps) proposes from its step's input and returns None when the
+    proposal leaves the support, else (proposed state, log acceptance
+    ratio).  The loop accepts when u < min(1, e^ratio); a NaN ratio rejects.
+    With cfg.adapt_step and eps > 0, dual averaging targets acceptance 0.574
+    during burn-in and the step size is frozen afterwards (kernels without a
+    step size pass 0).
 
     Returns (points, statistics, final state, diagnostics); the arrays hold
     one entry per retained step.
     """
     adapter = _DualAveraging(eps) if cfg.adapt_step and eps > 0 else None
     burn_in, thinning = cfg.burn_in, cfg.thinning
-    kept, kept_stat = [], []
-    post_accepts = support_rejections = 0
+    points = np.empty((len(range(burn_in, cfg.iterations, thinning)),) + np.shape(state[0]))
+    stats = np.empty(len(points))
+    kept = post_accepts = support_rejections = 0
     chain_rng = ChainRng(cfg.seed, chain_id)
     for start in range(0, cfg.iterations, BLOCK):
         steps = range(start, min(start + BLOCK, cfg.iterations))
-        inputs, uniforms = [], []
-        for step in steps:
-            rng = chain_rng.at(step)
-            inputs.append(draw(rng))
-            uniforms.append(rng.random())
-        if prepare is not None:
-            inputs = prepare(inputs)
+        inputs, uniforms = draw_block(chain_rng, steps)
         for step, given, u in zip(steps, inputs, uniforms):
             move = kernel(given, step, state, eps)
             alpha = 0.0
@@ -265,17 +263,16 @@ def _metropolis(draw, kernel, cfg: ChainConfig, state: tuple, chain_id: int, eps
             if adapter is not None and step <= burn_in:
                 eps = adapter.update(alpha) if step < burn_in else adapter.frozen
             if step >= burn_in and (step - burn_in) % thinning == 0:
-                kept.append(state[0].copy())
-                kept_stat.append(state[1])
+                points[kept], stats[kept] = state[0], state[1]
+                kept += 1
 
-    points = np.array(kept)
     diag = ChainDiagnostics(
         acceptance_rate=post_accepts / max(cfg.iterations - burn_in, 1),
         final_step_size=eps,
         support_rejections=support_rejections,
         _draws=points.reshape(len(points), -1),
     )
-    return points, np.array(kept_stat), state, diag
+    return points, stats, state, diag
 
 
 def _langevin_correction(x, prop, drift, grad_prop, eps: float) -> float:
@@ -322,8 +319,8 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
         return ((prop, logp_prop, grad_prop),
                 logp_prop - logp + _langevin_correction(x, prop, drift, grad_prop, eps))
 
-    samples, _, _, diag = _metropolis(draw, kernel, cfg, (x, logp, grad), chain_id,
-                                      cfg.step_size)
+    samples, _, _, diag = _metropolis(_per_step(draw), kernel, cfg, (x, logp, grad),
+                                      chain_id, cfg.step_size)
     return samples, diag
 
 
@@ -331,33 +328,30 @@ def independence_chain(target: TargetDensity, cfg: ChainConfig, proposal,
                        x0: np.ndarray, chain_id: int = 0):
     """Independence Metropolis chain with a user-supplied proposal sampler.
 
-    proposal is a pair (draw, build).  draw(rng) returns one step's raw
-    random arrays as a tuple; build(*stacks) takes each of them stacked over
-    a block's steps and returns the block's proposals, shape (steps,
-    dimension).  The proposals must come from a fixed distribution that is
-    uniform over the target support (so the Hastings ratio reduces to the
-    target ratio).  Useful when the target is a light tilt of the prior,
-    e.g. the reverse conditional in the small-beta*N regime, where gradient
-    kernels fight the l1 boundary.  The chain has no step size: its
-    final_step_size is 0 and cfg.step_size is not used.  The proposals of
-    each block of steps are built by one build call and scored by one
-    target.log_density call.
+    proposal(rng, B) returns B proposals drawn from rng, shape (B, dimension),
+    from a fixed distribution uniform over the target support (so the
+    Hastings ratio reduces to the target ratio).  Useful when the target is a
+    light tilt of the prior, e.g. the reverse conditional in the small-beta*N
+    regime, where gradient kernels fight the l1 boundary.  The chain has no
+    step size: its final_step_size is 0 and cfg.step_size is not used.
+    Block b of BLOCK steps takes its proposals, then its uniforms, from
+    ChainRng.block(b), and one target.log_density call scores the proposals.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if not target.support_test(x):
         raise SamplerError("initial state outside the target support")
-    draw, build = proposal
 
-    def prepare(raws):
-        props = build(*map(np.stack, zip(*raws)))
-        return zip(props, target.log_density(props))
+    def draw_block(chain_rng, steps):
+        rng = chain_rng.block(steps.start // BLOCK)
+        props = proposal(rng, len(steps))
+        uniforms = rng.random(len(steps)).tolist()
+        return zip(props, target.log_density(props).tolist()), uniforms
 
     def kernel(scored, step, state, eps):
         return scored, scored[1] - state[1]
 
-    samples, _, _, diag = _metropolis(draw, kernel, cfg,
-                                      (x, target.log_density(x[None])[0]),
-                                      chain_id, 0.0, prepare)
+    state = (x, float(target.log_density(x[None])[0]))
+    samples, _, _, diag = _metropolis(draw_block, kernel, cfg, state, chain_id, 0.0)
     return samples, diag
 
 
@@ -368,23 +362,19 @@ def sample_reverse_conditional_prior_mh(cfg: NetworkConfig, data: Dataset,
 
     Exact MCMC for p*(w|xi); efficient when beta*l_n and the coupling
     quadratic vary by O(1) over the prior support (the marginal-concavity
-    probe regime, where d is large and beta N is small).  Step s proposes,
-    byte for byte, sample_continuous at the stream ChainRng(seed, chain_id).at(s).
+    probe regime, where d is large and beta N is small).  The B proposals of
+    a block are one sample_continuous draw of B*K rows from the block's
+    stream, step by step in row order.
     """
     if not in_B(xi, data.X[: params.n], params):
         raise ValueError("xi must lie in the constraint set B")
     target = reverse_conditional_target(cfg, data, params, xi)
     K, d = cfg.K, cfg.d
-    n_words = (K * d + 1) // 2  # 64-bit words that hold K*d 32-bit sign draws
 
-    def draw(rng):
-        return rng.standard_exponential((K, d + 1)), rng.bit_generator.random_raw(n_words)
+    def proposal(rng, B):
+        return sample_continuous(ContinuousL1Prior(d=d, K=B * K), rng).reshape(B, K * d)
 
-    def build(exponentials, words):
-        signs = _sign_bits(words, K * d).reshape(-1, K, d)
-        return l1_ball_rows(exponentials, signs).reshape(len(words), K * d)
-
-    samples, diag = independence_chain(target, chain_cfg, (draw, build),
+    samples, diag = independence_chain(target, chain_cfg, proposal,
                                        np.zeros(K * d), chain_id=chain_id)
     return samples.reshape(-1, K, d), diag
 
@@ -519,8 +509,8 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
             xi.ravel(), prop.ravel(), drift.ravel(), new[2].ravel(), eps)
 
     state = evaluate(np.zeros((n, K)), (chain_id + 1) * 10_000_000, np.zeros((K, cfg.d)))
-    samples, se, state, diag = _metropolis(draw, kernel, outer_cfg, state, chain_id,
-                                           outer_cfg.step_size)
+    samples, se, state, diag = _metropolis(_per_step(draw), kernel, outer_cfg, state,
+                                           chain_id, outer_cfg.step_size)
     diag.extras = {"inner_score_se": se, "final_inner_state": state[4]}
     return samples, diag
 
@@ -550,9 +540,7 @@ def two_stage_sample(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
         xi_samples = xi_samples[idx]
 
     w_start = outer_diag.extras["final_inner_state"]
-    draws = []
-    tags = []
-    cond_accepts = []
+    draws, tags, cdiags = [], [], []
     for j, xi in enumerate(xi_samples):
         cid = (chain_id + 1) * 100_000_000 + j
         samples, cdiag = sample_reverse_conditional(
@@ -561,13 +549,15 @@ def two_stage_sample(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
         w_start = samples[-1]
         draws.append(samples)
         tags.extend([j] * len(samples))
-        cond_accepts.append(cdiag.acceptance_rate)
+        cdiags.append(cdiag)
 
     w_draws = np.concatenate(draws, axis=0) if draws else np.zeros((0, cfg.K, cfg.d))
     diagnostics = {
         "outer": outer_diag,
         "n_xi": len(xi_samples),
-        "conditional_acceptance_mean": float(np.mean(cond_accepts)) if cond_accepts else 0.0,
+        "conditional_acceptance_mean": (float(np.mean([c.acceptance_rate for c in cdiags]))
+                                        if cdiags else 0.0),
+        "conditional_support_rejections": sum(c.support_rejections for c in cdiags),
     }
     return w_draws, np.array(tags), diagnostics
 

@@ -138,6 +138,20 @@ class TestSample:
         main(["--output-dir", str(tmp_path), "sample", "--config", cfg_path])
         assert (tmp_path / f"chains_{h}.jsonl").read_bytes() == first
 
+    def test_diagnostics_record_the_run(self, tmp_path):
+        cfg_path = _write(tmp_path / "exp.json", SAMPLE_CONFIG)
+        h = config_hash(SAMPLE_CONFIG)
+        main(["--output-dir", str(tmp_path), "sample", "--config", cfg_path])
+        first = (tmp_path / f"diagnostics_{h}.json").read_bytes()
+        diag = json.loads(first)
+        chains = (tmp_path / f"chains_{h}.jsonl").read_text().strip().split("\n")
+        assert diag["outer_step_size"] == json.loads(chains[1])["diagnostics"]["outer_step_size"]
+        assert 0.0 < diag["inner_score_se_mean"] <= diag["inner_score_se_max"] < math.inf
+        assert isinstance(diag["conditional_support_rejections"], int)
+        assert diag["conditional_support_rejections"] >= 0
+        main(["--output-dir", str(tmp_path), "sample", "--config", cfg_path])
+        assert (tmp_path / f"diagnostics_{h}.json").read_bytes() == first
+
     def test_discrete_prior_rejected(self, tmp_path):
         bad = json.loads(json.dumps(SAMPLE_CONFIG))
         bad["prior"] = {"kind": "discrete", "M": 1}
@@ -258,6 +272,22 @@ def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, 
     monkeypatch.chdir(tmp_path)  # data paths in the configs are relative
     flag = "--inputs" if command == "bounds" else "--config"
     assert main(["--output-dir", str(tmp_path / "out"), command, flag, cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, y", [
+    ("sample", 1e155),  # the coupling constants overflow
+    ("regret", 1e200),  # the square-regret bound at a fixed beta overflows
+])
+def test_huge_finite_response_exits_2(tmp_path, capsys, monkeypatch, command, y):
+    bad = json.loads(json.dumps({"sample": SAMPLE_CONFIG, "regret": REGRET_CONFIG}[command]))
+    bad["data"] = {"path": "huge.csv"}
+    bad["beta"] = {"mode": "fixed", "value": 1.0}
+    (tmp_path / "huge.csv").write_text(f"x1,x2,y\n1.0,0.5,0.1\n1.0,-0.3,{y!r}\n1.0,0.2,0.3\n")
+    cfg_path = _write(tmp_path / "cfg.json", bad)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--output-dir", str(tmp_path / "out"), command, "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
 

@@ -46,18 +46,39 @@ class TestContinuousSampling:
 
     @pytest.mark.parametrize("K, d", [(1, 1), (3, 5), (2, 150)])
     def test_batched_rows_equal_row_by_row_draws(self, K, d):
-        # one l1_ball_rows call on a (64, K, d+1) stack gives, byte for byte,
-        # the 64 sample_continuous draws made from the same streams
-        prior = ContinuousL1Prior(d=d, K=K)
-        g, bits, rows = [], [], []
-        for seed in range(64):
-            rows.append(sample_continuous(prior, np.random.default_rng(seed)))
-            rng = np.random.default_rng(seed)
-            g.append(rng.standard_exponential((K, d + 1)))
-            bits.append(rng.integers(0, 2, size=(K, d)))
-        batch = l1_ball_rows(np.stack(g), np.stack(bits))
-        assert batch.shape == (64, K, d)
-        assert batch.tobytes() == np.stack(rows).tobytes()
+        # one sample_continuous draw of 64 K rows, as a prior-MH block makes,
+        # gives, byte for byte, step s's K rows from l1_ball_rows of their own
+        # exponentials and of sign bits s K d to (s + 1) K d of the raw words
+        gen = np.random.Generator(np.random.Philox(key=np.array([9, K * d], dtype=np.uint64)))
+        ref = np.random.Generator(np.random.Philox(key=np.array([9, K * d], dtype=np.uint64)))
+        batch = sample_continuous(ContinuousL1Prior(d=d, K=64 * K), gen).reshape(64, K, d)
+        g = ref.standard_exponential((64 * K, d + 1)).reshape(64, K, d + 1)
+        words = [int(w) for w in ref.bit_generator.random_raw(K * d)]
+        for s in range(64):
+            bits = [(words[j // 64] >> (j % 64)) & 1 for j in range(s * K * d, (s + 1) * K * d)]
+            row = l1_ball_rows(g[s], np.array(bits, dtype=np.uint8).reshape(K, d))
+            assert batch[s].tobytes() == row.tobytes()
+        assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("K, d", [(1, 1), (1, 2), (3, 5), (2, 150)])
+    @pytest.mark.parametrize("generator", ["pcg64", "philox"])
+    def test_signs_are_raw_word_bits(self, generator, K, d):
+        # exponentials first, then ceil(K d / 64) raw 64-bit words; sign j
+        # (row-major) is bit j mod 64 of word j // 64, least significant bit
+        # first, and 1 is +; the stream's next draw follows the last word
+        def make():
+            bit_gen = np.random.PCG64 if generator == "pcg64" else np.random.Philox
+            return np.random.Generator(bit_gen(41 + K * d))
+
+        rng, ref = make(), make()
+        for _ in range(3):
+            w = sample_continuous(ContinuousL1Prior(d=d, K=K), rng)
+            g = ref.standard_exponential((K, d + 1))
+            words = [int(v) for v in ref.bit_generator.random_raw(-(-K * d // 64))]
+            signs = [1.0 if (words[j // 64] >> (j % 64)) & 1 else -1.0 for j in range(K * d)]
+            expected = g[:, :-1] / g.sum(axis=1, keepdims=True) * np.reshape(signs, (K, d))
+            assert w.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()
 
 
 class TestCoordinateSecondMoment:

@@ -285,6 +285,17 @@ class TestOptimalHyperparams:
         assert opt.closed_form == pytest.approx(opt.bound_continuous, rel=1e-9)
         assert opt.closed_form > optimal_hyperparams(kind, inputs).closed_form
 
+    @pytest.mark.parametrize("kind", ["square_regret", "msr", "kl"])
+    def test_closed_form_carries_proj_sq_as_the_sum_does(self, kind):
+        # msr adds proj_sq and kl adds beta proj_sq; the regret kinds carry
+        # residual_term instead, so proj_sq moves neither column
+        inputs = _inputs(b=0.7, C_N=1.9, sigma=1.3, N=4000, d=5, beta=1.0 / 1.3 ** 2)
+        opt = optimal_hyperparams(kind, inputs, proj_sq=0.01)
+        assert opt.closed_form == pytest.approx(opt.bound_continuous, rel=1e-9)
+        shift = opt.closed_form - optimal_hyperparams(kind, inputs).closed_form
+        assert shift == pytest.approx({"square_regret": 0.0, "msr": 0.01,
+                                       "kl": 0.01 * inputs.beta}[kind], abs=1e-12)
+
 
 class TestApproximationWitness:
     def test_single_grid_neuron_exact(self):

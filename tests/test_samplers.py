@@ -24,8 +24,8 @@ from lccnn.samplers import (
     SamplerError,
     TargetDensity,
     TwoStageBudgets,
+    _DualAveraging,
     _row_grid,
-    _sign_bits,
     ess_estimate,
     independence_chain,
     mala_chain,
@@ -160,27 +160,23 @@ class TestChainRng:
         assert not np.array_equal(rng.at(10).standard_normal(4),
                                   rng.at(11).standard_normal(4))
 
-    @pytest.mark.parametrize("m", [1, 2, 15, 300])
-    @pytest.mark.parametrize("exponentials", [0, 3])
-    def test_raw_word_sign_bits_are_integers_0_2(self, m, exponentials):
-        # the prior-MH step's draws: exponentials, then the sign bits from
-        # ceil(m/2) raw words, then the uniform, which must be unchanged
-        rng = ChainRng(11, 4)
-        for step in (0, 5, 63, 64, 2 ** 33):
-            gen = rng.at(step)
-            g_ref = gen.standard_exponential(exponentials)
-            bits_ref = gen.integers(0, 2, size=m)
-            u_ref = gen.random()
-            gen = rng.at(step)
-            g = gen.standard_exponential(exponentials)
-            bits = _sign_bits(gen.bit_generator.random_raw((m + 1) // 2), m)
-            assert g.tobytes() == g_ref.tobytes()
-            assert np.array_equal(bits, bits_ref)
-            assert gen.random() == u_ref
-        # leading batch axes: one row per step, as the chain stacks them
-        words = np.stack([rng.at(s).bit_generator.random_raw((m + 1) // 2) for s in range(3)])
-        assert np.array_equal(_sign_bits(words, m),
-                              [rng.at(s).integers(0, 2, size=m) for s in range(3)])
+    def test_block_is_the_fresh_block_stream(self):
+        # block(b) is the stream at counter [0, 0, 1, b], also right after an
+        # at(step) call, and at(step) is unchanged right after a block call
+        def fresh(word2, word3):
+            return np.random.Generator(np.random.Philox(
+                key=np.array([7, 3], dtype=np.uint64),
+                counter=np.array([0, 0, word2, word3], dtype=np.uint64)))
+
+        rng = ChainRng(7, 3)
+        for b in (0, 5, 0, 2 ** 40, 1):
+            for word2, word3, seek in ((0, b, rng.at), (1, b, rng.block), (0, b + 1, rng.at)):
+                gen, ref = seek(word3), fresh(word2, word3)
+                assert gen.standard_exponential(5).tobytes() == ref.standard_exponential(5).tobytes()
+                assert np.array_equal(gen.bit_generator.random_raw(3),
+                                      ref.bit_generator.random_raw(3))
+                assert gen.random(4).tobytes() == ref.random(4).tobytes()
+        assert not np.array_equal(rng.block(4).random(4), rng.at(4).random(4))
 
 
 class TestReverseConditionalSampler:
@@ -223,6 +219,60 @@ class TestReverseConditionalSampler:
         with pytest.raises(ValueError, match="constraint set B"):
             sample_reverse_conditional(cfg, data, params, xi_bad, chain)
 
+    @pytest.mark.parametrize("K, d", [(1, 2), (2, 3)])
+    def test_equals_step_by_step_reference(self, K, d):
+        # step s draws its noise, then its uniform, from the fresh stream at
+        # counter [0, 0, 0, s]; 150 steps end in a partial block, and the
+        # large first step size leaves the support during adaptation
+        rng = np.random.default_rng(70 + K * d)
+        n = 5
+        X = rng.uniform(-1, 1, size=(n, d))
+        X[:, 0] = 1.0
+        data = Dataset(X=X, y=rng.uniform(-1, 1, size=n))
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
+        params = CouplingParams.from_config(cfg, data, n=n, beta=2.0)
+        prior = ContinuousL1Prior(d=d, K=K)
+        xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
+        chain = ChainConfig(step_size=0.9, iterations=150, burn_in=40, thinning=3, seed=8)
+        w0 = 0.5 * sample_continuous(prior, rng)
+        samples, diag = sample_reverse_conditional(cfg, data, params, xi, chain, w0=w0,
+                                                   chain_id=2)
+
+        target = reverse_conditional_target(cfg, data, params, xi)
+        x = w0.reshape(-1)
+        logp, grad = target.log_density_and_score(x)
+        eps, adapter = chain.step_size, _DualAveraging(chain.step_size)
+        kept, accepts, rejections = [], 0, 0
+        for step in range(chain.iterations):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([chain.seed, 2], dtype=np.uint64),
+                counter=np.array([0, 0, 0, step], dtype=np.uint64)))
+            noise = gen.standard_normal(K * d)
+            u = gen.random()
+            drift = 0.5 * eps * eps * grad
+            prop = x + drift + eps * noise
+            alpha = 0.0
+            if np.abs(prop.reshape(K, d)).sum(axis=1).max() > 1.0:
+                rejections += 1
+            else:
+                logp_prop, grad_prop = target.log_density_and_score(prop)
+                fwd = prop - x - drift
+                rev = x - prop - 0.5 * eps * eps * grad_prop
+                log_ratio = logp_prop - logp + (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
+                alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
+                if u < alpha:
+                    x, logp, grad = prop, logp_prop, grad_prop
+                    accepts += step >= chain.burn_in
+            if step <= chain.burn_in:
+                eps = adapter.update(alpha) if step < chain.burn_in else adapter.frozen
+            if step >= chain.burn_in and (step - chain.burn_in) % chain.thinning == 0:
+                kept.append(x.copy())
+        assert rejections >= 1
+        assert samples.tobytes() == np.array(kept).reshape(-1, K, d).tobytes()
+        assert diag.support_rejections == rejections
+        assert diag.acceptance_rate == accepts / (chain.iterations - chain.burn_in)
+        assert diag.final_step_size == eps
+
 
 class TestReverseConditionalTarget:
     @pytest.mark.parametrize("K, d, n", [(1, 2, 5), (2, 3, 5), (2, 150, 10)])
@@ -255,7 +305,8 @@ class TestIndependenceChain:
         cfg = ChainConfig(step_size=0.5, iterations=20_000, burn_in=1_000,
                           thinning=1, seed=4)
 
-        proposal = (lambda rng: (rng.uniform(-1.0, 1.0, size=1),), lambda u: u)
+        def proposal(rng, B):
+            return rng.uniform(-1.0, 1.0, size=(B, 1))
 
         samples, diag = independence_chain(target, cfg, proposal, np.zeros(1))
         x = samples[:, 0]
@@ -288,8 +339,9 @@ class TestIndependenceChain:
 
     @pytest.mark.parametrize("K, d, n", [(1, 1, 2), (3, 5, 4), (2, 150, 10)])
     def test_prior_mh_equals_step_by_step_reference(self, K, d, n):
-        # step s proposes sample_continuous at the fresh stream ChainRng(seed,
-        # 0).at(s) and then draws its uniform; 300 steps end in a partial block
+        # block b draws one sample_continuous of 64 K rows, then 64 uniforms,
+        # from the fresh stream at counter [0, 0, 1, b]; step s takes row
+        # block s // 64, position s % 64; 300 steps end in a partial block
         rng = np.random.default_rng(40 + K * d)
         X = rng.uniform(-1, 1, size=(n, d))
         X[:, 0] = 1.0
@@ -302,16 +354,21 @@ class TestIndependenceChain:
         samples, diag = sample_reverse_conditional_prior_mh(cfg, data, params, xi, chain)
 
         target = reverse_conditional_target(cfg, data, params, xi)
-        streams = ChainRng(chain.seed, 0)
         x = np.zeros(K * d)
         logp = target.log_density(x[None])[0]
         kept, accepts = [], 0
         for step in range(chain.iterations):
-            gen = streams.at(step)
-            prop = sample_continuous(prior, gen).reshape(-1)
-            u = gen.random()
+            b, i = divmod(step, 64)
+            if i == 0:
+                size = min(64, chain.iterations - step)
+                gen = np.random.Generator(np.random.Philox(
+                    key=np.array([chain.seed, 0], dtype=np.uint64),
+                    counter=np.array([0, 0, 1, b], dtype=np.uint64)))
+                props = sample_continuous(ContinuousL1Prior(d=d, K=size * K), gen)
+                uniforms = gen.random(size)
+            prop = props[i * K:(i + 1) * K].reshape(-1)
             logp_prop = target.log_density(prop[None])[0]
-            if u < min(1.0, math.exp(min(logp_prop - logp, 0.0))):
+            if uniforms[i] < min(1.0, math.exp(min(logp_prop - logp, 0.0))):
                 x, logp = prop, logp_prop
                 accepts += step >= chain.burn_in
             if step >= chain.burn_in:
