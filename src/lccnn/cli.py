@@ -200,6 +200,10 @@ class ExperimentConfig:
                                                  "n_xi": False}, "sampler")
         chains = {key: _chain_cfg(sampler[key], f"sampler.{key}") if key in sampler
                   else default for key, default in _DEFAULT_CHAINS.items()}
+        inner = chains["inner"]
+        if len(range(inner.burn_in, inner.iterations, inner.thinning)) < 2:
+            raise ConfigError("sampler.inner must keep at least 2 draws: the score's "
+                              "standard error needs two")
         # null n or n_xi means the default
         n, n_xi = (None if sampler.get(key) is None
                    else _integer(sampler[key], f"sampler.{key}", 1) for key in ("n", "n_xi"))

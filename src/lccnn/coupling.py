@@ -189,8 +189,8 @@ def marginal_score(xi: np.ndarray, inner_samples, params: CouplingParams,
     arrays; the standard error uses batch means so chain autocorrelation is
     not understated.
     """
-    if len(inner_samples) == 0:
-        raise ValueError("marginal_score requires at least one inner sample")
+    if len(inner_samples) < 2:
+        raise ValueError("marginal_score requires at least two inner samples")
     xi = np.asarray(xi, dtype=float)
     proj = stacked_projection(inner_samples, X)  # (S, n, K)
     score = params.rho * (-xi + proj.mean(axis=0))
@@ -209,46 +209,25 @@ def _batch_means_se(series: np.ndarray, n_batches: int = 10) -> np.ndarray:
     return np.std(trimmed, axis=0, ddof=1) / math.sqrt(nb)
 
 
-def _lambda_max(centered: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000):
-    """Largest eigenvalue of centered^T centered / (S-1) by power iteration.
-
-    The covariance matrix is never materialized; products run against the
-    centered sample matrix.
-    """
-    S, p = centered.shape
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        z = centered.T @ (centered @ v) / (S - 1)
-        norm = np.linalg.norm(z)
-        if norm == 0.0:
-            return 0.0, v
-        z /= norm
-        if abs(norm - lam) <= tol * max(1.0, norm):
-            return norm, z
-        lam, v = norm, z
-    return lam, v
-
-
 def marginal_concavity_estimate(xi: np.ndarray, inner_samples, params: CouplingParams,
                                 X: np.ndarray):
     """rho * lambda_max of the sample covariance of the stacked (Xw_1..Xw_K).
 
-    A value below 1 certifies (empirically) strict log-concavity of the
-    xi-marginal at this xi.  Returns (estimate, se); the standard error is
-    a batch-means error of the variance along the estimated top direction.
+    lambda_max and its unit direction v are the top eigenpair of the p x p
+    covariance centered^T centered / (S-1), p = n*K, from one symmetric
+    eigendecomposition.  A value below 1 certifies (empirically) strict
+    log-concavity of the xi-marginal at this xi.  Returns (estimate, se);
+    the standard error is a batch-means error of the variance along v.
     """
-    if len(inner_samples) < 10:
+    S = len(inner_samples)
+    if S < 10:
         raise ValueError("need at least 10 inner samples for a covariance estimate")
-    proj = stacked_projection(inner_samples, X).reshape(len(inner_samples), -1)
+    proj = stacked_projection(inner_samples, X).reshape(S, -1)
     centered = proj - proj.mean(axis=0)
-    lam, v = _lambda_max(centered)
-    scores = (centered @ v) ** 2
-    S = len(scores)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (S - 1))
+    scores = (centered @ eigvecs[:, -1]) ** 2
     se_var = _batch_means_se(scores) * S / (S - 1)
-    return params.rho * lam, params.rho * float(se_var)
+    return params.rho * float(eigvals[-1]), params.rho * float(se_var)
 
 
 @dataclass(frozen=True)

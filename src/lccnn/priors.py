@@ -213,14 +213,10 @@ def discretize_weights(w_cont: np.ndarray, M: int, rng: np.random.Generator) -> 
     w_cont and, for any x in the cube, Var(x . w_disc | w_cont) <= 1/M.
     """
     w_cont = np.atleast_2d(np.asarray(w_cont, dtype=float))
-    K, d = w_cont.shape
-    out = np.zeros_like(w_cont)
-    for k in range(K):
-        row = w_cont[k]
-        slack = max(0.0, 1.0 - np.abs(row).sum())
-        probs = np.concatenate([np.abs(row), [slack]])
-        probs = probs / probs.sum()
-        counts = rng.multinomial(M, probs)
-        signs = np.where(row < 0.0, -1.0, 1.0)  # sign(0) = +1, irrelevant: count is 0 a.s.
-        out[k] = signs * counts[:d] / M
-    return out
+    mass = np.abs(w_cont)
+    slack = np.maximum(0.0, 1.0 - mass.sum(axis=1, keepdims=True))
+    probs = np.concatenate([mass, slack], axis=1)
+    # the rows draw in order from rng, as one multinomial call per row would
+    counts = rng.multinomial(M, probs / probs.sum(axis=1, keepdims=True))
+    signs = np.where(w_cont < 0.0, -1.0, 1.0)  # sign(0) = +1, irrelevant: count is 0 a.s.
+    return signs * counts[:, :-1] / M

@@ -29,13 +29,14 @@ from lccnn.samplers import (
     TwoStageBudgets,
     two_stage_sample,
 )
-from lccnn.estimators import sequential_discrete_posteriors
+from lccnn.estimators import product_f_table, sequential_discrete_posteriors
 from lccnn.risk import (
     BoundInputs,
     approximation_witness,
     bound_calculator,
     optimal_hyperparams,
     regret_ledger,
+    streamed_regret_ledger,
 )
 from lccnn.verify import (
     check_coupling_prob,
@@ -60,6 +61,15 @@ def test_criterion_01_telescoping():
             f"residual={rec['residual']:.2e}")
 
 
+def _both_ledgers(cfg, grid, data, N, g, beta):
+    """The reference ledger over posterior snapshots, then the streamed one
+    over the product f table that `lccnn regret` runs."""
+    snaps, _ = sequential_discrete_posteriors(cfg, grid, data, N, beta)
+    _, f_rows = product_f_table(cfg, grid, data.X[:N])
+    return (regret_ledger(snaps[:-1], cfg, data, g, beta),
+            streamed_regret_ledger(cfg, f_rows, data.y[:N], g, beta))
+
+
 def test_criterion_02_regret_ordering():
     t0 = time.time()
     rng = np.random.default_rng(7)
@@ -75,16 +85,15 @@ def test_criterion_02_regret_ordering():
         data = random_dataset(rng, N, d, y_scale=1.5)
         g = rng.uniform(-1.0, 1.0, size=N)
         grid = enumerate_grid(DiscreteGridPrior(d=d, M=M))
-        snaps, _ = sequential_discrete_posteriors(cfg, grid, data, N, beta)
-        ledger = regret_ledger(snaps[:-1], cfg, data, g, beta)
-        for rec in ledger.records:
-            gap = max(rec.r_square - rec.r_rand, rec.r_log - rec.r_rand)
-            worst = max(worst, gap)
-            if gap > 1e-12:
-                violations += 1
+        for ledger in _both_ledgers(cfg, grid, data, N, g, beta):
+            for rec in ledger.records:
+                gap = max(rec.r_square - rec.r_rand, rec.r_log - rec.r_rand)
+                worst = max(worst, gap)
+                if gap > 1e-12:
+                    violations += 1
     assert violations == 0
     _report("criterion-02 regret-ordering", -worst, t0,
-            "20 instances, 0 violations")
+            "20 instances x 2 ledgers, 0 violations")
 
 
 def test_criterion_03_realized_vs_bound():
@@ -108,16 +117,15 @@ def test_criterion_03_realized_vs_bound():
                              sigma=0.0, C_N=C_N, d=d, N=N, M=1.0, K=K,
                              beta=1.0)
         beta = optimal_hyperparams("square_regret", inputs).beta_star
-        snaps, _ = sequential_discrete_posteriors(cfg, grid, data, N, beta)
-        ledger = regret_ledger(snaps[:-1], cfg, data, g, beta)
         bound = bound_calculator(
             "square_regret",
             BoundInputs(a0=act.a0, a1=act.a1, a2=act.a2, V=cfg.V, b=b_g,
                         sigma=0.0, C_N=C_N, d=d, N=N, M=1.0, K=K, beta=beta)).total
-        assert ledger.R_square <= bound
-        margins.append(bound - ledger.R_square)
+        for ledger in _both_ledgers(cfg, grid, data, N, g, beta):
+            assert ledger.R_square <= bound
+            margins.append(bound - ledger.R_square)
     _report("criterion-03 realized-vs-bound", min(margins), t0,
-            f"4 instances at N=200")
+            f"4 instances x 2 ledgers at N=200")
 
 
 def test_criterion_04_closed_form_reproduction():

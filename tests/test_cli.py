@@ -28,6 +28,16 @@ def _write(path, obj):
     return str(path)
 
 
+def _strict_json(text: str, lines: bool = False):
+    """text as one JSON value, or as one value per line (JSON lines).  NaN and
+    the infinities, which json.dumps writes but JSON forbids, fail the test."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    if lines:
+        return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+    return json.loads(text, parse_constant=refuse)
+
+
 SYNTH_SPEC = {
     "N": 40, "d": 3, "seed": 5,
     "g": {"kind": "teacher", "K": 1, "V": 1.0, "activation": {"kind": "tanh"}},
@@ -60,7 +70,7 @@ class TestSynth:
         assert data.N == 40 and data.d == 3
         assert np.all(data.X[:, 0] == 1.0)
         assert np.max(np.abs(data.X)) <= 1.0
-        meta = json.loads((tmp_path / "data.csv.teacher.json").read_text())
+        meta = _strict_json((tmp_path / "data.csv.teacher.json").read_text())
         assert meta["kind"] == "teacher" and "weights" in meta
 
     def test_noiseless_teacher_exact(self, tmp_path):
@@ -118,7 +128,7 @@ class TestSample:
         rc = main(["--output-dir", str(tmp_path), "sample", "--config", cfg_path])
         assert rc == 0
         h = config_hash(SAMPLE_CONFIG)
-        cert = json.loads((tmp_path / f"certificate_{h}.json").read_text())
+        cert = _strict_json((tmp_path / f"certificate_{h}.json").read_text())
         from lccnn.cli import _get_data
         from lccnn.coupling import check_logconcavity_conditions
         ec = ExperimentConfig.from_dict(SAMPLE_CONFIG)
@@ -126,9 +136,10 @@ class TestSample:
         report = check_logconcavity_conditions(ec.network, data, 2.0, N=4)
         for key, val in report.as_dict().items():
             assert cert["condition_report"][key] == pytest.approx(val)
-        chains = (tmp_path / f"chains_{h}.jsonl").read_text().strip().split("\n")
-        assert json.loads(chains[0])["meta"]["config_hash"] == h
+        chains = _strict_json((tmp_path / f"chains_{h}.jsonl").read_text(), lines=True)
+        assert chains[0]["meta"]["config_hash"] == h
         assert len(chains) > 1
+        assert _strict_json((tmp_path / f"diagnostics_{h}.json").read_text())["config_hash"] == h
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = _write(tmp_path / "exp.json", SAMPLE_CONFIG)
@@ -143,9 +154,9 @@ class TestSample:
         h = config_hash(SAMPLE_CONFIG)
         main(["--output-dir", str(tmp_path), "sample", "--config", cfg_path])
         first = (tmp_path / f"diagnostics_{h}.json").read_bytes()
-        diag = json.loads(first)
-        chains = (tmp_path / f"chains_{h}.jsonl").read_text().strip().split("\n")
-        assert diag["outer_step_size"] == json.loads(chains[1])["diagnostics"]["outer_step_size"]
+        diag = _strict_json(first.decode())
+        chains = _strict_json((tmp_path / f"chains_{h}.jsonl").read_text(), lines=True)
+        assert diag["outer_step_size"] == chains[1]["diagnostics"]["outer_step_size"]
         assert 0.0 < diag["inner_score_se_mean"] <= diag["inner_score_se_max"] < math.inf
         assert isinstance(diag["conditional_support_rejections"], int)
         assert diag["conditional_support_rejections"] >= 0
@@ -257,6 +268,8 @@ NAN_CSV = "x1,x2,y\n1.0,nan,0.1\n1.0,0.5,nan\n"
     ("sample", "seed", 2 ** 64),  # past the 64-bit Philox key word
     ("sample", "seed", 1e30),
     ("regret", "data.synthetic.seed", 2 ** 64),
+    pytest.param("sample", "sampler.inner", {"step_size": 0.3, "iterations": 2, "burn_in": 1},
+                 id="sample-sampler.inner-keeps-one-draw"),  # its score SE was NaN
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -322,7 +335,7 @@ class TestVerify:
 
     def test_json_records(self, capsys, monkeypatch):
         assert main(["verify", "--json"]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        records = _strict_json(capsys.readouterr().out, lines=True)
         assert [r["suite"] for r in records] == list(SUITES)
         for r in records:
             assert r["passed"] is True
@@ -331,7 +344,7 @@ class TestVerify:
         monkeypatch.setitem(SUITES, "telescope", lambda: {
             "suite": "telescope", "passed": False, "margin": -1.0, "detail": ""})
         assert main(["verify", "--json", "telescope"]) == 4
-        record = json.loads(capsys.readouterr().out)
+        record = _strict_json(capsys.readouterr().out)
         assert record == {"suite": "telescope", "passed": False, "margin": -1.0,
                           "detail": ""}
         assert main(["verify", "--json", "nope"]) == 2

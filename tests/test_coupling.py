@@ -7,6 +7,8 @@ import pytest
 
 from lccnn.nnmodel import Dataset, NetworkConfig, log_posterior_unnorm, squared_relu, tanh_scaled
 from lccnn.priors import ContinuousL1Prior, sample_continuous
+from lccnn.samplers import ChainConfig, sample_reverse_conditional_prior_mh
+from lccnn.verify import random_dataset
 from lccnn.coupling import (
     CouplingParams,
     check_logconcavity_conditions,
@@ -270,9 +272,11 @@ class TestMarginalScoreAndConcavity:
         assert 1.7 < np.mean(ratios) < 2.35
 
     def test_empty_samples_rejected(self):
-        cfg, data, params, _ = _setup()
-        with pytest.raises(ValueError):
-            marginal_score(np.zeros((4, 1)), [], params, data.X)
+        cfg, data, params, rng = _setup()
+        w = sample_continuous(ContinuousL1Prior(d=2, K=1), rng)
+        for samples in ([], [w]):  # one draw has no standard error
+            with pytest.raises(ValueError, match="two"):
+                marginal_score(np.zeros((4, 1)), samples, params, data.X)
 
     def test_constant_samples_give_zero_concavity_estimate(self):
         cfg, data, params, rng = _setup(n=3)
@@ -280,6 +284,28 @@ class TestMarginalScoreAndConcavity:
         samples = [w.copy() for _ in range(60)]
         est, se = marginal_concavity_estimate(np.zeros((3, 1)), samples, params, data.X)
         assert est == pytest.approx(0.0, abs=1e-12)
+
+    def test_certificate_is_the_exact_top_eigenpair(self):
+        # the verify marginal shape: K=2, d=150, n=10, 2,500 prior-MH steps
+        cfg = NetworkConfig(K=2, d=150, V=1.0, activation=tanh_scaled())
+        data = random_dataset(np.random.default_rng(3), 10, 150)
+        params = CouplingParams.from_config(cfg, data, n=10, beta=0.05)
+        rng = np.random.default_rng(23)
+        w = sample_continuous(ContinuousL1Prior(d=150, K=2), rng)
+        xi, _ = sample_xi_given_w(w, data.X, params, rng)
+        chain = ChainConfig(step_size=1.0, iterations=2500, burn_in=500, seed=7)
+        samples, _ = sample_reverse_conditional_prior_mh(cfg, data, params, xi, chain)
+        est, se = marginal_concavity_estimate(xi, samples, params, data.X)
+
+        proj = stacked_projection(samples, data.X).reshape(len(samples), -1)
+        S = len(proj)
+        eigvals, eigvecs = np.linalg.eigh(np.cov(proj, rowvar=False))
+        assert est == pytest.approx(params.rho * eigvals[-1], rel=1e-12, abs=0.0)
+        scores = ((proj - proj.mean(axis=0)) @ eigvecs[:, -1]) ** 2
+        batch = S // 10
+        means = scores[: 10 * batch].reshape(10, batch).mean(axis=1)
+        batch_se = np.std(means, ddof=1) / math.sqrt(10)
+        assert se == pytest.approx(params.rho * S / (S - 1) * batch_se, rel=1e-10, abs=0.0)
 
     def test_requires_ten_samples(self):
         cfg, data, params, rng = _setup()

@@ -250,3 +250,26 @@ class TestDiscretizeWeights:
             var = prods.var(ddof=1)
             se = var * math.sqrt(2.0 / (len(prods) - 1))
             assert var <= 1.0 / M + 3.0 * se
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_one_call_equals_row_by_row_loop(self, K):
+        def row_by_row(w_cont, M, rng):
+            out = np.zeros_like(w_cont)
+            for k, row in enumerate(w_cont):
+                slack = max(0.0, 1.0 - np.abs(row).sum())
+                probs = np.concatenate([np.abs(row), [slack]])
+                counts = rng.multinomial(M, probs / probs.sum())
+                out[k] = np.where(row < 0.0, -1.0, 1.0) * counts[:-1] / M
+            return out
+
+        for d in (1, 3, 7, 150):
+            base = sample_continuous(ContinuousL1Prior(d=d, K=K), np.random.default_rng(d))
+            zero_row = base.copy()
+            zero_row[0] = 0.0
+            full_norm = base / np.abs(base).sum(axis=1, keepdims=True)
+            for w in (base, zero_row, full_norm):
+                for M in (1, 3, 10):
+                    fast, slow = np.random.default_rng(M), np.random.default_rng(M)
+                    assert discretize_weights(w, M, fast).tobytes() == \
+                        row_by_row(w, M, slow).tobytes()
+                    assert fast.random() == slow.random()  # same draws consumed
