@@ -23,7 +23,8 @@ import numpy as np
 from .nnmodel import Activation, Dataset, NetworkConfig, eval_network_many, squared_relu, tanh_scaled
 from .priors import DiscreteGridPrior, enumerate_grid
 from .coupling import CouplingParams, check_logconcavity_conditions, compute_C_n
-from .samplers import ChainConfig, SamplerError, TwoStageBudgets, two_stage_sample
+from .samplers import (ChainConfig, SamplerError, TwoStageBudgets, check_inner_draws,
+                       two_stage_sample)
 from .estimators import product_f_table
 from .risk import (BoundInputs, RegretLedger, bound_calculator, optimal_hyperparams,
                    streamed_regret_ledger)
@@ -200,10 +201,10 @@ class ExperimentConfig:
                                                  "n_xi": False}, "sampler")
         chains = {key: _chain_cfg(sampler[key], f"sampler.{key}") if key in sampler
                   else default for key, default in _DEFAULT_CHAINS.items()}
-        inner = chains["inner"]
-        if len(range(inner.burn_in, inner.iterations, inner.thinning)) < 2:
-            raise ConfigError("sampler.inner must keep at least 2 draws: the score's "
-                              "standard error needs two")
+        try:
+            check_inner_draws(chains["inner"])
+        except ValueError as exc:
+            raise ConfigError(f"sampler.inner: {exc}") from exc
         # null n or n_xi means the default
         n, n_xi = (None if sampler.get(key) is None
                    else _integer(sampler[key], f"sampler.{key}", 1) for key in ("n", "n_xi"))

@@ -38,6 +38,11 @@ __all__ = [
 _TANH_D2_SUP = 4.0 / (3.0 * math.sqrt(3.0))
 
 
+def _scaled(scale: float, x):
+    """scale * x, skipping a multiplication by exactly 1.0."""
+    return x if scale == 1.0 else scale * x
+
+
 @dataclass(frozen=True)
 class Activation:
     """Neuron activation with analytic derivative bounds on [-1, 1].
@@ -73,12 +78,16 @@ class Activation:
         return self.psi_dpsi(z)[1]
 
     def psi_dpsi(self, z):
-        """(psi(z), psi'(z)) from one evaluation of the shared tanh or ramp."""
+        """(psi(z), psi'(z)) from one evaluation of the shared tanh or ramp.
+
+        A scale of exactly 1.0 is not multiplied in (x * 1.0 == x), so the
+        bytes are those of the full formula.
+        """
         if self.kind == "tanh":
-            t = np.tanh(self.c * z)
-            return self.a * t, self.a * self.c * (1.0 - t * t)
+            t = np.tanh(_scaled(self.c, z))
+            return _scaled(self.a, t), _scaled(self.a * self.c, 1.0 - t * t)
         zp = np.maximum(z, 0.0)
-        return self.a * zp * zp, 2.0 * self.a * zp
+        return _scaled(self.a, zp) * zp, _scaled(2.0 * self.a, zp)
 
     def d2psi(self, z):
         if self.kind == "tanh":

@@ -19,14 +19,18 @@ Reproducibility: every draw comes from a counter-based Philox stream keyed by
 (seed, chain id) (ChainRng), so identical seeds and configs give bit-identical
 chains regardless of scheduling.  MALA and the outer xi chain use one stream
 per step; the independence chain, whose proposals ignore the chain state, one
-stream per block of BLOCK = 64 steps, and BLOCK is part of its contract.
+stream per block of BLOCK = 64 steps, and BLOCK is part of its contract.  The
+floating-point operation order of a MALA step (the fused reverse-conditional
+density and score, the Langevin correction) is part of the byte contract too:
+a leaner step may drop a multiplication by exactly 1.0 or make the same BLAS
+call with less dispatch, never reorder a sum or a product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,6 +55,7 @@ __all__ = [
     "independence_chain",
     "sample_reverse_conditional",
     "sample_reverse_conditional_prior_mh",
+    "check_inner_draws",
     "sample_marginal_xi",
     "TwoStageBudgets",
     "two_stage_sample",
@@ -69,13 +74,16 @@ class ChainRng:
     """Streams of one chain: at(step) and block(b) are Generator(Philox(key=
     [seed, chain_id], counter=[0, 0, 0, step] and [0, 0, 1, b])), never the
     same counter.  One Philox is repositioned by setting a kept state whose
-    counter words both methods rewrite in place, instead of constructed.
+    counter words both methods rewrite in place, instead of constructed.  The
+    kept state holds Python ints, which the setter reads faster than arrays.
     """
 
     def __init__(self, seed: int, chain_id: int):
         self._bg = np.random.Philox(key=np.array([seed, chain_id], dtype=np.uint64))
-        self._state = self._bg.state  # counter 0, empty buffer, no spare half-word
-        self._counter = self._state["state"]["counter"]
+        state = self._bg.state  # counter 0, empty buffer, no spare half-word
+        state["state"] = {key: words.tolist() for key, words in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        self._state, self._counter = state, state["state"]["counter"]
         self.gen = np.random.Generator(self._bg)
 
     def at(self, step: int) -> np.random.Generator:
@@ -280,9 +288,20 @@ def _langevin_correction(x, prop, drift, grad_prop, eps: float) -> float:
 
     drift is the forward proposal's 0.5 eps^2 grad(x), as the kernel built it.
     """
-    fwd = prop - x - drift
-    rev = x - prop - 0.5 * eps * eps * grad_prop
-    return (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
+    delta = prop - x
+    fwd = delta - drift
+    # the reverse residual x - prop - 0.5 eps^2 grad_prop is -rev to the bit,
+    # but for the sign of a zero (rounding is symmetric under negation), and
+    # only its square enters
+    rev = delta + 0.5 * eps * eps * grad_prop
+    return (float(fwd.dot(fwd)) - float(rev.dot(rev))) / (2.0 * eps * eps)
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the 1-D array v is finite.  A sum of squares is
+    finite only when every entry is, so the entrywise test runs only when it
+    is not (finite entries can still overflow it)."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
@@ -296,25 +315,26 @@ def mala_chain(target: TargetDensity, cfg: ChainConfig, x0: np.ndarray,
     Returns (samples, diagnostics).
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != target.dimension:
+    dim, support_test, evaluate = target.dimension, target.support_test, target.evaluate
+    if x.shape[0] != dim:
         raise SamplerError("initial state has wrong dimension")
-    if not target.support_test(x):
+    if not support_test(x):
         raise SamplerError("initial state outside the target support")
-    logp, grad = target.evaluate(x)
-    if not np.all(np.isfinite(grad)):
+    logp, grad = evaluate(x)
+    if not _all_finite(grad):
         raise SamplerError("NaN in score at the initial state")
 
     def draw(rng):
-        return rng.standard_normal(target.dimension)
+        return rng.standard_normal(dim)
 
     def kernel(noise, step, state, eps):
         x, logp, grad = state
         drift = 0.5 * eps * eps * grad
         prop = x + drift + eps * noise
-        if not target.support_test(prop):
+        if not support_test(prop):
             return None
-        logp_prop, grad_prop = target.evaluate(prop)
-        if not np.isfinite(grad_prop).all():
+        logp_prop, grad_prop = evaluate(prop)
+        if not _all_finite(grad_prop):
             raise SamplerError("NaN in score at a proposal")
         return ((prop, logp_prop, grad_prop),
                 logp_prop - logp + _langevin_correction(x, prop, drift, grad_prop, eps))
@@ -380,7 +400,8 @@ def sample_reverse_conditional_prior_mh(cfg: NetworkConfig, data: Dataset,
 
 
 def _l1_rows_ok(flat: np.ndarray, K: int, d: int) -> bool:
-    return bool(np.abs(flat.reshape(K, d)).sum(axis=1).max() <= 1.0)
+    """Whether each of the K rows of d entries has l1 norm <= 1; NaN fails."""
+    return all(s <= 1.0 for s in np.add.reduce(np.abs(flat.reshape(K, d)), 1).tolist())
 
 
 def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
@@ -396,23 +417,27 @@ def reverse_conditional_target(cfg: NetworkConfig, data: Dataset,
     beta, rho = params.beta, params.rho
     xi = np.asarray(xi, dtype=float)
     xiT = xi.T  # (K, n)
-    beta_c = beta * c[:, None]
+    unit = K == 1 and c[0] == 1.0  # then c @ psi is psi[0] and beta c is beta
+    beta_c = beta if unit else beta * c[:, None]
+    lb, lr = -0.5 * beta, 0.5 * rho  # logp = (-0.5 beta) |res|^2 - (0.5 rho) |quad|^2
 
+    # ndarray.dot makes the same BLAS call as @ on these 1-D and 2-D operands,
+    # with less dispatch; the sums and products keep the order of the byte contract
     def fused(flat):
         w = flat.reshape(K, d)
-        z = w @ XT                       # (K, n) preactivations
+        z = w.dot(XT)                    # (K, n) preactivations
         psi, dpsi = act.psi_dpsi(z)
-        res = y - c @ psi
+        res = y - (psi[0] if unit else c.dot(psi))
         quad = xiT - z                   # (K, n)
-        logp = -0.5 * beta * (res @ res) - 0.5 * rho * (quad * quad).sum()
-        coef = beta_c * dpsi * res[None, :] + rho * quad
-        return logp, (coef @ X).reshape(-1)
+        logp = lb * float(res.dot(res)) - lr * float(np.add.reduce(quad * quad, None))
+        coef = beta_c * dpsi * res + rho * quad
+        return logp, coef.dot(X).ravel()
 
     return TargetDensity(
         log_density=lambda flats: reverse_logdensity_unnorm(
             cfg, flats.reshape(-1, K, d), xi, data, params),
         log_density_and_score=fused,
-        support_test=lambda flat: _l1_rows_ok(flat, K, d),
+        support_test=partial(_l1_rows_ok, K=K, d=d),
         dimension=K * d,
     )
 
@@ -450,6 +475,14 @@ def _log_ratio_estimate(rho: float, xi_a: np.ndarray, xi_b: np.ndarray,
     return float(m + math.log(np.mean(np.exp(expo - m))))
 
 
+def check_inner_draws(inner_cfg: ChainConfig) -> None:
+    """Raise ValueError unless an inner chain keeps at least 2 draws (steps
+    burn_in to iterations, every thinning-th): its score SE needs two."""
+    if len(range(inner_cfg.burn_in, inner_cfg.iterations, inner_cfg.thinning)) < 2:
+        raise ValueError("an inner chain must keep at least 2 draws: the score's "
+                         "standard error needs two")
+
+
 def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams,
                        outer_cfg: ChainConfig, inner_cfg: ChainConfig,
                        score_oracle=None, chain_id: int = 0):
@@ -466,10 +499,13 @@ def sample_marginal_xi(cfg: NetworkConfig, data: Dataset, params: CouplingParams
 
     score_oracle, when given, must expose score(xi)->(n,K) and
     log_marginal(xi)->float; it replaces the inner chains (used to validate
-    the nested construction against exact quadrature).
+    the nested construction against exact quadrature).  Without it, inner_cfg
+    must pass check_inner_draws.
 
     Returns (xi samples shaped (S, n, K), diagnostics).
     """
+    if score_oracle is None:
+        check_inner_draws(inner_cfg)
     n, K = params.n, cfg.K
     X = data.X[:n]
     rho = params.rho

@@ -1,12 +1,13 @@
 """Chain kernels, nested sampler vs quadrature oracles, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled
+from lccnn.nnmodel import Dataset, NetworkConfig, squared_relu, tanh_scaled
 from lccnn.priors import DEFAULT_ENUMERATION_LIMIT, ContinuousL1Prior, sample_continuous
 from lccnn.coupling import (
     CouplingParams,
@@ -44,6 +45,38 @@ def _gaussian_target(dim=5):
         support_test=lambda x: True,
         dimension=dim,
     )
+
+
+def _reference_fused(cfg, data, params, xi):
+    """(log density, score) of p*(w | xi), written out in the operation order
+    that the MALA draws' bytes depend on: every product and sum in this order,
+    with @ for the matrix products and scales multiplied in even when 1.0."""
+    K, d, n = cfg.K, cfg.d, params.n
+    X = np.ascontiguousarray(data.X[:n])
+    XT = X.T
+    y = data.y[:n]
+    c = cfg.outer_weights
+    act = cfg.activation
+    beta, rho = params.beta, params.rho
+    xiT = np.asarray(xi, dtype=float).T
+    beta_c = beta * c[:, None]
+
+    def fused(flat):
+        w = flat.reshape(K, d)
+        z = w @ XT
+        if act.kind == "tanh":
+            t = np.tanh(act.c * z)
+            psi, dpsi = act.a * t, act.a * act.c * (1.0 - t * t)
+        else:
+            zp = np.maximum(z, 0.0)
+            psi, dpsi = act.a * zp * zp, 2.0 * act.a * zp
+        res = y - c @ psi
+        quad = xiT - z
+        logp = -0.5 * beta * (res @ res) - 0.5 * rho * (quad * quad).sum()
+        coef = beta_c * dpsi * res[None, :] + rho * quad
+        return logp, (coef @ X).reshape(-1)
+
+    return fused
 
 
 def _coupled_1d(beta=3.0, n=2, seed=0, y=(0.8, 0.4)):
@@ -219,17 +252,23 @@ class TestReverseConditionalSampler:
         with pytest.raises(ValueError, match="constraint set B"):
             sample_reverse_conditional(cfg, data, params, xi_bad, chain)
 
-    @pytest.mark.parametrize("K, d", [(1, 2), (2, 3)])
-    def test_equals_step_by_step_reference(self, K, d):
+    @pytest.mark.parametrize("K, d, act", [
+        pytest.param(1, 2, tanh_scaled(), id="1-2"),
+        pytest.param(2, 3, tanh_scaled(), id="2-3"),
+        pytest.param(1, 2, tanh_scaled(1.3, 0.7), id="1-2-tanh-a1.3-c0.7"),
+    ])
+    def test_equals_step_by_step_reference(self, K, d, act):
         # step s draws its noise, then its uniform, from the fresh stream at
         # counter [0, 0, 0, s]; 150 steps end in a partial block, and the
-        # large first step size leaves the support during adaptation
+        # large first step size leaves the support during adaptation.  The
+        # loop scores proposals with the in-test density and writes out the
+        # Langevin correction, so neither can drift unseen.
         rng = np.random.default_rng(70 + K * d)
         n = 5
         X = rng.uniform(-1, 1, size=(n, d))
         X[:, 0] = 1.0
         data = Dataset(X=X, y=rng.uniform(-1, 1, size=n))
-        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=act)
         params = CouplingParams.from_config(cfg, data, n=n, beta=2.0)
         prior = ContinuousL1Prior(d=d, K=K)
         xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
@@ -238,9 +277,9 @@ class TestReverseConditionalSampler:
         samples, diag = sample_reverse_conditional(cfg, data, params, xi, chain, w0=w0,
                                                    chain_id=2)
 
-        target = reverse_conditional_target(cfg, data, params, xi)
+        density = _reference_fused(cfg, data, params, xi)
         x = w0.reshape(-1)
-        logp, grad = target.log_density_and_score(x)
+        logp, grad = density(x)
         eps, adapter = chain.step_size, _DualAveraging(chain.step_size)
         kept, accepts, rejections = [], 0, 0
         for step in range(chain.iterations):
@@ -255,7 +294,7 @@ class TestReverseConditionalSampler:
             if np.abs(prop.reshape(K, d)).sum(axis=1).max() > 1.0:
                 rejections += 1
             else:
-                logp_prop, grad_prop = target.log_density_and_score(prop)
+                logp_prop, grad_prop = density(prop)
                 fwd = prop - x - drift
                 rev = x - prop - 0.5 * eps * eps * grad_prop
                 log_ratio = logp_prop - logp + (fwd @ fwd - rev @ rev) / (2.0 * eps * eps)
@@ -293,6 +332,35 @@ class TestReverseConditionalTarget:
             ref_score = reverse_score(cfg, w, xi, data, params)
             assert abs(logp - ref_logp) <= 1e-12 * abs(ref_logp)
             assert np.max(np.abs(score - ref_score)) <= 1e-12 * np.max(np.abs(ref_score))
+
+    @pytest.mark.parametrize("act", [
+        pytest.param(tanh_scaled(), id="tanh"),
+        pytest.param(tanh_scaled(1.3, 0.7), id="tanh-a1.3-c0.7"),
+        pytest.param(squared_relu(), id="squared_relu"),
+    ])
+    @pytest.mark.parametrize("K, d, n", [(1, 2, 5), (2, 3, 5), (2, 150, 10)])
+    def test_fused_evaluation_is_byte_pinned(self, K, d, n, act):
+        # the squared ReLU's first outer sign is -1, so K = 1 also meets an
+        # outer weight other than 1.0
+        rng = np.random.default_rng(300 + 10 * K + d)
+        signs = None if act.odd_symmetric else np.r_[-1.0, np.ones(K - 1)]
+        cfg = NetworkConfig(K=K, d=d, V=1.0, activation=act, signs=signs)
+        X = rng.uniform(-1, 1, size=(n, d))
+        X[:, 0] = 1.0
+        data = Dataset(X=X, y=rng.uniform(-1, 1, size=n))
+        params = CouplingParams.from_config(cfg, data, n=n, beta=0.8)
+        prior = ContinuousL1Prior(d=d, K=K)
+        for _ in range(10):
+            xi, _ = sample_xi_given_w(sample_continuous(prior, rng), data.X, params, rng)
+            target = reverse_conditional_target(cfg, data, params, xi)
+            reference = _reference_fused(cfg, data, params, xi)
+            for _ in range(20):
+                w = sample_continuous(prior, rng).reshape(-1)
+                assert target.support_test(w)
+                logp, grad = target.log_density_and_score(w)
+                ref_logp, ref_grad = reference(w)
+                assert np.float64(logp).tobytes() == np.float64(ref_logp).tobytes()
+                assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestIndependenceChain:
@@ -402,6 +470,19 @@ class TestMarginalXi:
         sd = xis.reshape(len(xis), -1).std(axis=0)
         se = sd / math.sqrt(max(diag.ess_estimate, 1.0))
         assert np.all(np.abs(est - quad_mean) <= 3.5 * se)
+
+    def test_inner_chain_keeping_fewer_than_two_draws_raises(self):
+        # with one kept inner draw the score SE would be NaN (after a warning)
+        cfg, data, params = _coupled_1d()
+        outer = ChainConfig(step_size=0.3, iterations=20, burn_in=5, thinning=1, seed=1)
+        one_draw = ChainConfig(step_size=0.3, iterations=2, burn_in=1, thinning=1, seed=0)
+        budgets = TwoStageBudgets(outer=outer, inner=one_draw, conditional=outer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                sample_marginal_xi(cfg, data, params, outer, one_draw)
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                two_stage_sample(cfg, data, params, budgets)
 
     @pytest.mark.slow
     def test_nested_score_consistency(self):
