@@ -586,23 +586,27 @@ def cmd_regret(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    # the dyadic N = 2, 4, 8, ... up to data.N, or N = 1 alone; every bound is
+    # taken before any ledger runs, so an input whose bound fails is refused
+    # before the work
+    bounds = []
+    for Nn in [1] if data.N == 1 else [2 ** k for k in range(1, data.N.bit_length())]:
+        beta_n = resolve_beta(ec.beta, cfg, data, Nn)
+        inp = _bound_inputs(cfg, data, Nn, b=float(np.max(np.abs(g_vals[:Nn]))),
+                            sigma=0.0, M=prior.M, K=cfg.K, beta=beta_n)
+        try:  # a huge response can overflow the bound's terms
+            bounds.append((Nn, beta_n, bound_calculator("square_regret", inp).total))
+        except ArithmeticError as exc:
+            raise ConfigError(f"square-regret bound at N = {Nn}: {exc}") from exc
+
     # one f table for every prefix: the ledger over the first Nn points
     # reads its first Nn rows
     beta_full = resolve_beta(ec.beta, cfg, data, data.N)
     ledger = streamed_regret_ledger(cfg, f_rows, data.y, g_vals, beta_full)
-
     rows = []
-    # the dyadic N = 2, 4, 8, ... up to data.N, or N = 1 alone
-    for Nn in [1] if data.N == 1 else [2 ** k for k in range(1, data.N.bit_length())]:
-        beta_n = resolve_beta(ec.beta, cfg, data, Nn)
+    for Nn, beta_n, bound in bounds:
         led_n = ledger if Nn == data.N else streamed_regret_ledger(
             cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
-        inp = _bound_inputs(cfg, data, Nn, b=float(np.max(np.abs(g_vals[:Nn]))),
-                            sigma=0.0, M=prior.M, K=cfg.K, beta=beta_n)
-        try:  # a huge response can overflow the bound's terms
-            bound = bound_calculator("square_regret", inp).total
-        except ArithmeticError as exc:
-            raise ConfigError(f"square-regret bound at N = {Nn}: {exc}") from exc
         rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square, "bound": bound})
     # written only now, so an input whose bound fails leaves no files behind
     ledger_path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")

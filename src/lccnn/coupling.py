@@ -12,7 +12,10 @@ induced marginal p*(xi) is log-concave once Kd >= A3 (beta N)^2.  This module
 computes the constants (delta, A1-A3, H1, H2), the densities and their
 derivatives, and numeric certificates for each of those claims.  Each reverse
 function is its lccnn.nnmodel posterior counterpart plus the coupling term, and
-every projection of inner draws onto xi is one stacked_projection einsum.
+every projection of inner draws onto xi is one stacked_projection einsum.  That
+einsum's contraction order is part of the byte contract: the nested outer
+chain's score and bridge ratio read the projection, and a BLAS product (@,
+matmul, einsum with optimize) fuses multiply-adds that move last bits.
 
 The truncation normalizer Z(w) = ln P(xi in B | w) is treated as a constant
 (dropped from the reverse density and score): its derivatives are O(delta),
@@ -175,9 +178,15 @@ def reverse_hessian_quadform(cfg: NetworkConfig, w: np.ndarray, xi: np.ndarray,
 
 
 def stacked_projection(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """x_i . w_k for weights (..., K, d): the (..., n, K) stack whose column
-    k is X w_k, for one matrix or for a batch (S, K, d) of inner draws."""
-    return np.einsum("ij,...kj->...ik", np.asarray(X), np.asarray(w, dtype=float))
+    """x_i . w_k for weights (..., K, d): the C-contiguous (..., n, K) stack
+    whose column k is X w_k, for one matrix or for a batch (S, K, d) of inner
+    draws.
+
+    The einsum writes the (..., K, n) layout, which it contracts about twice
+    as fast at the certificate's shape as the (..., n, K) one, with the same
+    summation order per entry, and the axes are swapped after."""
+    proj = np.einsum("...kj,ij->...ki", np.asarray(w, dtype=float), np.asarray(X))
+    return np.ascontiguousarray(np.swapaxes(proj, -1, -2))
 
 
 def marginal_score(xi: np.ndarray, inner_samples, params: CouplingParams,

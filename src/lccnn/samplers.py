@@ -238,7 +238,8 @@ def _metropolis(draw_block, kernel, cfg: ChainConfig, state: tuple, chain_id: in
     proposal inputs and uniforms, one of each per step.  kernel(given, step,
     state, eps) proposes from its step's input and returns None when the
     proposal leaves the support, else (proposed state, log acceptance
-    ratio).  The loop accepts when u < min(1, e^ratio); a NaN ratio rejects.
+    ratio).  The loop accepts when u < min(1, e^ratio); a NaN ratio rejects
+    and feeds acceptance 0 to dual averaging.
     With cfg.adapt_step and eps > 0, dual averaging targets acceptance 0.574
     during burn-in and the step size is frozen afterwards (kernels without a
     step size pass 0).
@@ -248,31 +249,35 @@ def _metropolis(draw_block, kernel, cfg: ChainConfig, state: tuple, chain_id: in
     """
     adapter = _DualAveraging(eps) if cfg.adapt_step and eps > 0 else None
     burn_in, thinning = cfg.burn_in, cfg.thinning
+    adapt_until = burn_in if adapter is not None else -1  # last step that adapts
     points = np.empty((len(range(burn_in, cfg.iterations, thinning)),) + np.shape(state[0]))
     stats = np.empty(len(points))
     kept = post_accepts = support_rejections = 0
+    next_kept = burn_in
+    exp = math.exp
     chain_rng = ChainRng(cfg.seed, chain_id)
     for start in range(0, cfg.iterations, BLOCK):
         steps = range(start, min(start + BLOCK, cfg.iterations))
         inputs, uniforms = draw_block(chain_rng, steps)
         for step, given, u in zip(steps, inputs, uniforms):
             move = kernel(given, step, state, eps)
-            alpha = 0.0
             if move is None:
                 support_rejections += 1
+                alpha = 0.0
             else:
                 prop, log_ratio = move
-                if not math.isnan(log_ratio):
-                    alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
+                # min(1, e^ratio), and 0 for a NaN ratio, which fails both tests
+                alpha = 1.0 if log_ratio >= 0.0 else exp(log_ratio) if log_ratio < 0.0 else 0.0
                 if u < alpha:
                     state = prop
                     if step >= burn_in:
                         post_accepts += 1
-            if adapter is not None and step <= burn_in:
+            if step <= adapt_until:
                 eps = adapter.update(alpha) if step < burn_in else adapter.frozen
-            if step >= burn_in and (step - burn_in) % thinning == 0:
+            if step == next_kept:
                 points[kept], stats[kept] = state[0], state[1]
                 kept += 1
+                next_kept += thinning
 
     diag = ChainDiagnostics(
         acceptance_rate=post_accepts / max(cfg.iterations - burn_in, 1),

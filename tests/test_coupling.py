@@ -307,6 +307,22 @@ class TestMarginalScoreAndConcavity:
         batch_se = np.std(means, ddof=1) / math.sqrt(10)
         assert se == pytest.approx(params.rho * S / (S - 1) * batch_se, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("w_shape, n", [
+        ((2, 3), 4), ((240, 1, 2), 5), ((2500, 2, 150), 10),
+        ((3, 7), 6), ((7, 3, 5), 4), ((240, 3, 150), 20),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
+    def test_stacked_projection_is_byte_pinned(self, w_shape, n):
+        # the nested outer chain reads this projection, so it must equal, to
+        # the bit, the (..., n, K) einsum whose summation order set its bytes
+        rng = np.random.default_rng(sum(w_shape) + n)
+        d = w_shape[-1]
+        w = rng.uniform(-1, 1, size=w_shape) / d
+        X = rng.uniform(-1, 1, size=(n, d))
+        proj = stacked_projection(w, X)
+        assert proj.shape == w_shape[:-2] + (n, w_shape[-2])
+        assert proj.flags.c_contiguous
+        assert proj.tobytes() == np.einsum("ij,...kj->...ik", X, w).tobytes()
+
     def test_requires_ten_samples(self):
         cfg, data, params, rng = _setup()
         w = sample_continuous(ContinuousL1Prior(d=2, K=1), rng)

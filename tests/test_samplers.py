@@ -174,6 +174,22 @@ class TestMalaChain:
         with pytest.raises(SamplerError, match="NaN"):
             mala_chain(target, cfg, np.zeros(1))
 
+    def test_nan_log_ratio_rejects_and_adapts_on_zero(self):
+        # a NaN log density makes every log ratio NaN: each step rejects, and
+        # dual averaging sees acceptance 0 at each burn-in step
+        target = TargetDensity(log_density=None,
+                               log_density_and_score=lambda x: (math.nan, np.zeros(2)),
+                               support_test=lambda x: True, dimension=2)
+        cfg = ChainConfig(step_size=0.4, iterations=60, burn_in=25, thinning=2, seed=4)
+        x0 = np.array([0.1, -0.2])
+        samples, diag = mala_chain(target, cfg, x0)
+        adapter = _DualAveraging(cfg.step_size)
+        for _ in range(cfg.burn_in):
+            adapter.update(0.0)
+        assert samples.tobytes() == np.tile(x0, (len(samples), 1)).tobytes()
+        assert diag.acceptance_rate == 0.0 and diag.support_rejections == 0
+        assert diag.final_step_size == adapter.frozen != cfg.step_size
+
 
 class TestChainRng:
     def test_at_is_the_fresh_counter_stream(self):
@@ -470,6 +486,58 @@ class TestMarginalXi:
         sd = xis.reshape(len(xis), -1).std(axis=0)
         se = sd / math.sqrt(max(diag.ess_estimate, 1.0))
         assert np.all(np.abs(est - quad_mean) <= 3.5 * se)
+
+    def test_oracle_chain_equals_step_by_step_reference(self):
+        # step s draws its (n, K) noise, then its uniform, from the fresh
+        # stream at counter [0, 0, 0, s] of key [seed, chain_id]; 130 steps end
+        # in a partial block, and the large first step size leaves B during
+        # adaptation.  The loop writes out the support test, the Langevin
+        # correction and the accept rule, so none can drift unseen.
+        cfg, data, params = _coupled_1d()
+        oracle = CouplingOracle1D(cfg, data, params, n_w=201, include_Z=False)
+        outer = ChainConfig(step_size=2.0, iterations=130, burn_in=30, thinning=4, seed=12)
+        inner = ChainConfig(step_size=0.3, iterations=50, burn_in=10, thinning=1, seed=0)
+        xis, diag = sample_marginal_xi(cfg, data, params, outer, inner,
+                                       score_oracle=oracle, chain_id=3)
+
+        n = params.n
+        X = data.X[:n]
+        xi = np.zeros((n, 1))
+        score = np.asarray(oracle.score(xi))
+        eps, adapter = outer.step_size, _DualAveraging(outer.step_size)
+        kept, accepts, rejections = [], 0, 0
+        for step in range(outer.iterations):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([outer.seed, 3], dtype=np.uint64),
+                counter=np.array([0, 0, 0, step], dtype=np.uint64)))
+            noise = gen.standard_normal((n, 1))
+            u = gen.random()
+            drift = 0.5 * eps * eps * score
+            prop = xi + drift + eps * noise
+            alpha = 0.0
+            if np.max(np.abs(X.T @ prop)) > params.b_threshold:
+                rejections += 1
+            else:
+                score_prop = np.asarray(oracle.score(prop))
+                fwd = (prop - xi - drift).ravel()
+                rev = (xi - prop - 0.5 * eps * eps * score_prop).ravel()
+                log_ratio = (oracle.log_marginal(prop) - oracle.log_marginal(xi)
+                             + (fwd @ fwd - rev @ rev) / (2.0 * eps * eps))
+                if not math.isnan(log_ratio):
+                    alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
+                if u < alpha:
+                    xi, score = prop, score_prop
+                    accepts += step >= outer.burn_in
+            if step <= outer.burn_in:
+                eps = adapter.update(alpha) if step < outer.burn_in else adapter.frozen
+            if step >= outer.burn_in and (step - outer.burn_in) % outer.thinning == 0:
+                kept.append(xi.copy())
+        assert rejections >= 1 and accepts >= 1
+        assert xis.tobytes() == np.array(kept).tobytes()
+        assert diag.support_rejections == rejections
+        assert diag.acceptance_rate == accepts / (outer.iterations - outer.burn_in)
+        assert diag.final_step_size == eps
+        assert diag.extras["inner_score_se"].tobytes() == np.zeros(len(kept)).tobytes()
 
     def test_inner_chain_keeping_fewer_than_two_draws_raises(self):
         # with one kept inner draw the score SE would be NaN (after a warning)
