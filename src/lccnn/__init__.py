@@ -74,6 +74,7 @@ from .estimators import (
     cesaro_predictive,
     exact_discrete_posterior,
     export_snapshot,
+    grid_psi_table,
     load_snapshot_table,
     log_predictive_density,
     posterior_mean,

@@ -25,7 +25,7 @@ from .priors import DiscreteGridPrior, enumerate_grid
 from .coupling import CouplingParams, check_logconcavity_conditions, compute_C_n
 from .samplers import (ChainConfig, SamplerError, TwoStageBudgets, check_inner_draws,
                        two_stage_sample)
-from .estimators import product_f_table
+from .estimators import grid_psi_table
 from .risk import (BoundInputs, RegretLedger, bound_calculator, optimal_hyperparams,
                    streamed_regret_ledger)
 # snapshot-based exact ledger, kept under these names for callers that look
@@ -582,7 +582,7 @@ def cmd_regret(args) -> int:
     try:
         prior = DiscreteGridPrior(d=cfg.d, M=ec.M, K=cfg.K)
         grid = enumerate_grid(prior)
-        _, f_rows = product_f_table(cfg, grid, data.X)
+        psi = grid_psi_table(cfg, grid, data.X)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -595,19 +595,25 @@ def cmd_regret(args) -> int:
         inp = _bound_inputs(cfg, data, Nn, b=float(np.max(np.abs(g_vals[:Nn]))),
                             sigma=0.0, M=prior.M, K=cfg.K, beta=beta_n)
         try:  # a huge response can overflow the bound's terms
-            bounds.append((Nn, beta_n, bound_calculator("square_regret", inp).total))
+            bound = bound_calculator("square_regret", inp).total
         except ArithmeticError as exc:
             raise ConfigError(f"square-regret bound at N = {Nn}: {exc}") from exc
+        if not math.isfinite(bound):  # a huge beta makes it inf
+            raise ConfigError(f"square-regret bound at N = {Nn} is {bound} (beta = {beta_n!r})")
+        bounds.append((Nn, beta_n, bound))
 
-    # one f table for every prefix: the ledger over the first Nn points
-    # reads its first Nn rows
-    beta_full = resolve_beta(ec.beta, cfg, data, data.N)
-    ledger = streamed_regret_ledger(cfg, f_rows, data.y, g_vals, beta_full)
-    rows = []
-    for Nn, beta_n, bound in bounds:
-        led_n = ledger if Nn == data.N else streamed_regret_ledger(
-            cfg, f_rows[:Nn], data.y[:Nn], g_vals[:Nn], beta_n)
-        rows.append({"N": Nn, "beta": beta_n, "R_square": led_n.R_square, "bound": bound})
+    # one pass over the data runs the ledger over the first N_d points at each
+    # N_d's own beta, and the full ledger when data.N is not dyadic
+    prefixes = [(Nn, beta_n) for Nn, beta_n, _ in bounds]
+    if prefixes[-1][0] != data.N:
+        prefixes.append((data.N, resolve_beta(ec.beta, cfg, data, data.N)))
+    try:  # a beta that overflows the log-likelihoods is refused before the pass
+        ledgers = streamed_regret_ledger(cfg, psi, data.y, g_vals, prefixes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    ledger = ledgers[-1]
+    rows = [{"N": Nn, "beta": beta_n, "R_square": led.R_square, "bound": bound}
+            for (Nn, beta_n, bound), led in zip(bounds, ledgers)]
     # written only now, so an input whose bound fails leaves no files behind
     ledger_path = _out_path(ec.output_dir, f"ledger_{hash_}.csv")
     _ledger_csv(ledger_path, ledger, hash_)

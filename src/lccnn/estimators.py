@@ -2,10 +2,13 @@
 
 The discrete grid prior admits exact sequential posteriors by enumeration:
 a probability table over (S^d_{1,M})^K proportional to exp(-beta * l_n).
-The tables read one product f table, built once per data set as an (N, P)
-array whose row n - 1 holds f(w, x_n) at each of the P grid points, so the
-table at prefix n is the one at n - 1 reweighted by row n - 1 alone.  Every
-table over a K-fold product grid, here and in lccnn.samplers, is product_table's.
+The tables read the product f table, whose row n - 1 holds f(w, x_n) at each
+of the P grid points, so the table at prefix n is the one at n - 1 reweighted
+by row n - 1 alone.  product_f_table builds it whole, as an (N, P) array, for
+the snapshot lists here; risk.streamed_regret_ledger builds one row at a time
+from the (N, m) per-row psi table of grid_psi_table, so `lccnn regret` never
+holds more than a row.  Every table over a K-fold product grid, here and in
+lccnn.samplers, is product_table's.
 All log-domain accumulation uses log-sum-exp with max subtraction, and
 predictive ratios are differences of log Bayes factors, so telescoping
 identities hold to near machine precision.
@@ -25,6 +28,7 @@ __all__ = [
     "PosteriorSnapshot",
     "product_table",
     "product_points",
+    "grid_psi_table",
     "product_f_table",
     "exact_discrete_posterior",
     "sequential_discrete_posteriors",
@@ -95,21 +99,27 @@ class PosteriorSnapshot:
         return product_points(self.grid, self.digits.shape[0])
 
 
-def product_table(table: np.ndarray, coefs) -> np.ndarray:
+def product_table(table: np.ndarray, coefs, lead: np.ndarray = None) -> np.ndarray:
     """sum_k coefs[k] * table[:, digit_k(p)] over a K-fold product grid.
 
     table is (N, m), one column per grid row; K = len(coefs).  Point p has
     mixed-radix digits digit_k(p), the last one fastest, so term k is table
     broadcast along axis k + 1 of an (N, m, ..., m) view.  Returns (N, m**K).
+
+    lead, an (N, a) table, stands in for table on the first axis: with lead =
+    table[:, i:j] the result is the slice [i m**(K-1), j m**(K-1)) of the full
+    table, (N, a m**(K-1)), each entry summed in the same order.
     """
-    N, m = table.shape
     K = len(coefs)
-    out = np.zeros((N,) + (m,) * K)
+    tables = [table if lead is None else lead] + [table] * (K - 1)
+    dims = [t.shape[1] for t in tables]
+    N = len(table)
+    out = np.zeros([N] + dims)
     for k in range(K):
         shape = [N] + [1] * K
-        shape[k + 1] = m
-        out += coefs[k] * table.reshape(shape)
-    return out.reshape(N, m ** K)
+        shape[k + 1] = dims[k]
+        out += coefs[k] * tables[k].reshape(shape)
+    return out.reshape(N, math.prod(dims))
 
 
 def product_points(grid: np.ndarray, K: int) -> np.ndarray:
@@ -127,6 +137,18 @@ def _sq_residual_sums(y: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sum(res * res, axis=1)
 
 
+def grid_psi_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """psi(grid[j] . x_n) as an (N, m) table, one column per grid row: the
+    per-row table that product_table turns into f(w, x_n) over the K-fold
+    grid product.  Refuses a product of more than DEFAULT_ENUMERATION_LIMIT
+    points."""
+    P = len(grid) ** cfg.K
+    if P > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"product enumeration of {P} points exceeds limit "
+                         f"{DEFAULT_ENUMERATION_LIMIT}")
+    return cfg.activation.psi(grid @ X.T).T
+
+
 def product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
     """f(w, x_n) over the K-fold grid product, built from per-row psi tables.
 
@@ -135,13 +157,8 @@ def product_f_table(cfg: NetworkConfig, grid: np.ndarray, X: np.ndarray):
     digits digits[:, p] (see product_table); no K x d weight matrix is ever
     materialized.
     """
-    m = len(grid)
-    P = m ** cfg.K
-    if P > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(f"product enumeration of {P} points exceeds limit "
-                         f"{DEFAULT_ENUMERATION_LIMIT}")
-    psi = cfg.activation.psi(grid @ X.T).T  # (N, m)
-    return np.indices((m,) * cfg.K).reshape(cfg.K, P), product_table(psi, cfg.outer_weights)
+    f = product_table(grid_psi_table(cfg, grid, X), cfg.outer_weights)
+    return np.indices((len(grid),) * cfg.K).reshape(cfg.K, f.shape[1]), f
 
 
 def exact_discrete_posterior(cfg: NetworkConfig, grid: np.ndarray, data: Dataset,

@@ -8,9 +8,10 @@ pathwise for exact posteriors.
 
 regret_ledger reads a list of posterior snapshots, exact tables or sample
 sets.  streamed_regret_ledger computes the same ledger for the exact grid
-posteriors from the (N, P) product f table in one pass over n, with O(P)
-working memory and the log predictive taken as a Bayes-factor ratio; any
-prefix of the table gives the ledger of that prefix.
+posteriors, for any number of prefixes (N_j, beta_j) at once, in one pass
+over n that builds each row of the product f table from the (N, m) per-row
+psi table when it is needed: O(P) working memory per prefix, and the log
+predictive taken as a Bayes-factor ratio.
 
 The bound calculators reproduce the closed-form regret/risk bounds with the
 exact optimizing (beta*, K*, M*), term by term.  One ingredient table,
@@ -29,7 +30,8 @@ import numpy as np
 
 from .nnmodel import Dataset, NetworkConfig
 from .priors import discretize_weights
-from .estimators import log_predictive_density, sequential_discrete_posteriors
+from .estimators import (log_predictive_density, product_table,
+                         sequential_discrete_posteriors)
 
 __all__ = [
     "RegretRecord",
@@ -154,39 +156,80 @@ def _normalize(log_w: np.ndarray):
     return e / total, float(top + np.log(total))
 
 
-def streamed_regret_ledger(cfg: NetworkConfig, f_rows: np.ndarray, y, g_values,
-                           beta: float) -> RegretLedger:
-    """regret_ledger of the exact grid posteriors, streamed over one f table.
+class _OpenLedger:
+    """One prefix ledger of streamed_regret_ledger while the pass runs: the
+    running log-likelihood of each grid point, its normalized weights and
+    log normalizer, and the records so far."""
 
-    f_rows is the (N, P) product f table (row n - 1 holds f(w, x_n) at every
-    grid point) and y the N responses.  One pass over n keeps only the
-    running log-likelihood of each point, so the working memory is O(P).
-    Each step's single exp pass gives the normalized weights and the log
-    normalizer lse_n; the log predictive is the Bayes-factor ratio
-    lse_n - lse_{n-1} + (1/2) log(beta / 2 pi).
+    def __init__(self, N: int, beta: float, b: float, P: int):
+        self.N, self.beta, self.b = N, beta, b
+        self.half_log = 0.5 * math.log(beta / (2.0 * math.pi))
+        self.cum = np.zeros(P)
+        self.weights, self.lse = _normalize(self.cum)
+        self.records = []
+
+
+def streamed_regret_ledger(cfg: NetworkConfig, psi: np.ndarray, y, g_values,
+                           prefixes) -> tuple:
+    """regret_ledger of the exact grid posteriors for several prefixes, in one
+    pass over n.
+
+    psi is the (N, m) per-row table of estimators.grid_psi_table and y the N
+    responses.  Step n builds row n - 1 of the product f table, f(w, x_n) at
+    all P = m**K grid points, from psi[n - 1] alone, with product_table's
+    arithmetic; no (N, P) table is ever made.  prefixes lists (N_j, beta_j)
+    pairs: ledger j covers the first N_j points at beta_j with its own running
+    log-likelihoods, weights, b and records, and leaves the pass after step
+    N_j.  Each open ledger holds two P-vectors, so the working memory is O(P)
+    per ledger: at the exact-ledger benchmark config (P = 16,641, N = 256,
+    eight dyadic ledgers) `lccnn regret` peaks at 3.1 MB traced, where the
+    (N, P) table alone took 34 MB.  Each step's single exp pass gives the
+    normalized weights and the log normalizer lse_n; the log predictive is
+    the Bayes-factor ratio lse_n - lse_{n-1} + (1/2) log(beta / 2 pi).
+
+    A beta at which the log-likelihoods could overflow is refused with
+    ValueError before the pass: the test is that N_j times 0.5 beta r^2 is
+    finite, with r the largest |y - f| or |y - g| any grid point can have.
+    Returns one RegretLedger per prefix, in order.
     """
     g_values = np.asarray(g_values, dtype=float)
     y = np.asarray(y, dtype=float)
     N = len(g_values)
-    if len(f_rows) != N or len(y) != N:
-        raise ValueError(f"need {N} f rows and responses, got {len(f_rows)} and {len(y)}")
-    b = _half_width(cfg, g_values)
-    half_log = 0.5 * math.log(beta / (2.0 * math.pi))
-    cum = np.zeros(f_rows.shape[1])
-    weights, lse = _normalize(cum)
-    records = []
-    for n in range(1, N + 1):
-        f, y_n = f_rows[n - 1], y[n - 1]
+    if len(psi) != N or len(y) != N:
+        raise ValueError(f"need {N} psi rows and responses, got {len(psi)} and {len(y)}")
+    # the largest |y - f| or |y - g| any grid point can have, as a Python
+    # float, whose products overflow to inf without a warning
+    res_max = 0.0 if N == 0 else float(np.max(np.abs(y))) + max(
+        float(np.max(np.abs(psi))) * float(np.sum(np.abs(cfg.outer_weights))),
+        float(np.max(np.abs(g_values))))
+    ledgers = []
+    for N_j, beta in prefixes:
+        if not 0 <= N_j <= N:
+            raise ValueError(f"prefix length {N_j} is outside 0..{N}")
+        if not math.isfinite(0.5 * beta * res_max * res_max * N_j):
+            raise ValueError(f"beta = {beta!r} can overflow the log-likelihoods "
+                             f"0.5 beta (y - f)^2 of the first {N_j} points")
+        ledgers.append(_OpenLedger(N_j, beta, _half_width(cfg, g_values[:N_j]),
+                                   psi.shape[1] ** cfg.K))
+    live = [led for led in ledgers if led.N > 0]
+    for n in range(1, max((led.N for led in live), default=0) + 1):
+        f = product_table(psi[n - 1:n], cfg.outer_weights)[0]
+        y_n, g_n = y[n - 1], g_values[n - 1]
         res = y_n - f
-        mu, mean_sq = float(weights @ f), float(weights @ (res * res))
-        # rounded as in sequential_discrete_posteriors, so both keep the
-        # same log-likelihoods
-        cum = cum - 0.5 * beta * res * res
-        weights, lse_n = _normalize(cum)
-        records.append(_record(n, y_n, g_values[n - 1], mu, mean_sq,
-                               lse_n - lse + half_log, beta, b))
-        lse = lse_n
-    return _ledger(records, N)
+        sq = res * res
+        for led in live:
+            mu, mean_sq = float(led.weights @ f), float(led.weights @ sq)
+            # rounded as in sequential_discrete_posteriors, so both keep the
+            # same log-likelihoods
+            led.cum = led.cum - 0.5 * led.beta * res * res
+            led.weights, lse_n = _normalize(led.cum)
+            led.records.append(_record(n, y_n, g_n, mu, mean_sq,
+                                       lse_n - led.lse + led.half_log, led.beta, led.b))
+            led.lse = lse_n
+            if n == led.N:  # done: free its P-vectors
+                led.cum = led.weights = None
+        live = [led for led in live if led.N > n]
+    return tuple(_ledger(led.records, led.N) for led in ledgers)
 
 
 def bayes_factor_telescope(cfg: NetworkConfig, grid: np.ndarray, data: Dataset,

@@ -29,7 +29,7 @@ from lccnn.samplers import (
     TwoStageBudgets,
     two_stage_sample,
 )
-from lccnn.estimators import product_f_table, sequential_discrete_posteriors
+from lccnn.estimators import grid_psi_table, sequential_discrete_posteriors
 from lccnn.risk import (
     BoundInputs,
     approximation_witness,
@@ -63,11 +63,11 @@ def test_criterion_01_telescoping():
 
 def _both_ledgers(cfg, grid, data, N, g, beta):
     """The reference ledger over posterior snapshots, then the streamed one
-    over the product f table that `lccnn regret` runs."""
+    over the per-row psi table that `lccnn regret` runs."""
     snaps, _ = sequential_discrete_posteriors(cfg, grid, data, N, beta)
-    _, f_rows = product_f_table(cfg, grid, data.X[:N])
+    psi = grid_psi_table(cfg, grid, data.X[:N])
     return (regret_ledger(snaps[:-1], cfg, data, g, beta),
-            streamed_regret_ledger(cfg, f_rows, data.y[:N], g, beta))
+            streamed_regret_ledger(cfg, psi, data.y[:N], g, [(N, beta)])[0])
 
 
 def test_criterion_02_regret_ordering():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from lccnn.cli import (
     resolve_beta,
     synthesize,
 )
-from lccnn.estimators import product_f_table, sequential_discrete_posteriors
+from lccnn.estimators import grid_psi_table, product_f_table, sequential_discrete_posteriors
 from lccnn.priors import DiscreteGridPrior, enumerate_grid
+from lccnn import risk
 from lccnn.risk import BoundInputs, bound_calculator, regret_ledger, streamed_regret_ledger
 from lccnn.verify import SUITES
 
@@ -186,6 +188,35 @@ class TestSample:
         assert not list(tmp_path.glob("chains_*"))
 
 
+def _per_prefix_ledger(cfg, f_rows, y, g_values, beta):
+    """Reference for streamed_regret_ledger: one prefix at a time, over the
+    rows of the whole (N, P) f table, as `lccnn regret` ran it before the
+    one-pass form."""
+    def normalize(log_w):
+        top = np.max(log_w)
+        e = np.exp(log_w - top)
+        total = np.sum(e)
+        return e / total, float(top + np.log(total))
+
+    g_values = np.asarray(g_values, dtype=float)
+    N = len(g_values)
+    b = risk._half_width(cfg, g_values)
+    half_log = 0.5 * math.log(beta / (2.0 * math.pi))
+    cum = np.zeros(f_rows.shape[1])
+    weights, lse = normalize(cum)
+    records = []
+    for n in range(1, N + 1):
+        f, y_n = f_rows[n - 1], y[n - 1]
+        res = y_n - f
+        mu, mean_sq = float(weights @ f), float(weights @ (res * res))
+        cum = cum - 0.5 * beta * res * res
+        weights, lse_n = normalize(cum)
+        records.append(risk._record(n, y_n, g_values[n - 1], mu, mean_sq,
+                                    lse_n - lse + half_log, beta, b))
+        lse = lse_n
+    return risk._ledger(records, N)
+
+
 REGRET_CONFIG = {
     "network": {"K": 1, "d": 2, "V": 1.0, "activation": {"kind": "tanh"}},
     "prior": {"kind": "discrete", "M": 1},
@@ -270,6 +301,10 @@ NAN_CSV = "x1,x2,y\n1.0,nan,0.1\n1.0,0.5,nan\n"
     ("regret", "data.synthetic.seed", 2 ** 64),
     pytest.param("sample", "sampler.inner", {"step_size": 0.3, "iterations": 2, "burn_in": 1},
                  id="sample-sampler.inner-keeps-one-draw"),  # its score SE was NaN
+    # the bound is inf, and the ledgers' log-likelihoods overflowed
+    pytest.param("regret", "beta", {"mode": "fixed", "value": 1e308},
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+                 id="regret-beta-fixed-1e308"),
 ])
 def test_malformed_field_exits_2(tmp_path, capsys, monkeypatch, command, field, value):
     base = {"regret": REGRET_CONFIG, "sample": SAMPLE_CONFIG, "bounds": BOUNDS_INPUTS}
@@ -419,6 +454,18 @@ class TestRegret:
         "beta": {"mode": "fourth-root"},
     }
 
+    # the exact-ledger benchmark config: K = 2 neurons on the d = 4, M = 3
+    # grid, 129 points per row, 16,641 in all
+    CONFIG_EXACT = {
+        "network": {"K": 2, "d": 4, "V": 1.0, "activation": {"kind": "tanh"}},
+        "prior": {"kind": "discrete", "M": 3},
+        "data": {"synthetic": {"N": 256, "d": 4, "seed": 0,
+                               "g": {"kind": "teacher", "K": 2, "V": 1.0,
+                                     "activation": {"kind": "tanh"}},
+                               "noise": {"kind": "gaussian", "sigma": 0.3}}},
+        "beta": {"mode": "fourth-root"},
+    }
+
     def test_ledger_and_bound_rows(self, tmp_path):
         cfg_path = _write(tmp_path / "cfg.json", self.CONFIG)
         rc = main(["--output-dir", str(tmp_path), "regret", "--config", cfg_path])
@@ -475,12 +522,12 @@ class TestRegret:
         net = ec.network
         data, _, g = synthesize(ec.data["synthetic"])
         grid = enumerate_grid(DiscreteGridPrior(d=net.d, M=ec.M, K=net.K))
-        _, f_rows = product_f_table(net, grid, data.X)
+        psi = grid_psi_table(net, grid, data.X)
         for N in [2, 4, 8, 16, data.N]:
             b = resolve_beta(ec.beta, net, data, N)
             snaps, _ = sequential_discrete_posteriors(net, grid, data, N, b)
             ref = regret_ledger(snaps[:-1], net, data, g[:N], b)
-            got = streamed_regret_ledger(net, f_rows[:N], data.y[:N], g[:N], b)
+            [got] = streamed_regret_ledger(net, psi[:N], data.y[:N], g[:N], [(N, b)])
             assert len(got.records) == N
             for r, s in zip(ref.records, got.records):
                 assert r.n == s.n
@@ -490,6 +537,43 @@ class TestRegret:
                 assert abs(getattr(ref, field) - getattr(got, field)) < 1e-12
             if N in written:
                 assert abs(written[N] - ref.R_square) < 1e-12
+
+    @pytest.mark.parametrize("N", [256, 200, 1])
+    def test_one_pass_equals_per_prefix_ledgers(self, N):
+        cfg_dict = json.loads(json.dumps(self.CONFIG_EXACT))
+        cfg_dict["data"]["synthetic"]["N"] = N
+        ec = ExperimentConfig.from_dict(cfg_dict)
+        net = ec.network
+        data, _, g = synthesize(ec.data["synthetic"])
+        grid = enumerate_grid(DiscreteGridPrior(d=net.d, M=ec.M, K=net.K))
+        # the prefixes of `lccnn regret`: the dyadic N_d (N = 1 alone), then N
+        dyadic = [1] if N == 1 else [2 ** k for k in range(1, N.bit_length())]
+        prefixes = [(n, resolve_beta(ec.beta, net, data, n)) for n in dyadic]
+        if dyadic[-1] != N:
+            prefixes.append((N, resolve_beta(ec.beta, net, data, N)))
+        got = streamed_regret_ledger(net, grid_psi_table(net, grid, data.X), data.y, g,
+                                     prefixes)
+        _, f_rows = product_f_table(net, grid, data.X)
+        want = tuple(_per_prefix_ledger(net, f_rows[:n], data.y[:n], g[:n], b)
+                     for n, b in prefixes)
+        assert len(got) == len(want) == len(dyadic) + (dyadic[-1] != N)
+        for led, ref in zip(got, want):
+            assert led.records == ref.records
+            for field in ("R_square", "R_rand", "R_log", "Lambda_sq"):
+                assert getattr(led, field) == getattr(ref, field)
+
+    def test_traced_peak_is_O_P(self, tmp_path):
+        # the (N, P) f table alone took 34 MB at this config
+        cfg_path = _write(tmp_path / "cfg.json", self.CONFIG_EXACT)
+        assert main(["--output-dir", str(tmp_path / "warm"), "regret", "--config", cfg_path]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["--output-dir", str(tmp_path / "run"), "regret",
+                         "--config", cfg_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_output_dir_precedence(self, tmp_path, monkeypatch):
         # the --output-dir flag, then the config's output_dir, then

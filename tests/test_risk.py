@@ -7,7 +7,7 @@ import pytest
 
 from lccnn.nnmodel import Dataset, NetworkConfig, eval_network_many, tanh_scaled
 from lccnn.priors import DiscreteGridPrior, enumerate_grid
-from lccnn.estimators import sequential_discrete_posteriors, posterior_mean
+from lccnn.estimators import grid_psi_table, sequential_discrete_posteriors, posterior_mean
 from lccnn.risk import (
     BoundInputs,
     approximation_witness,
@@ -18,6 +18,7 @@ from lccnn.risk import (
     pythagorean_check,
     regret_ledger,
     resolvability_bound,
+    streamed_regret_ledger,
 )
 
 
@@ -79,6 +80,16 @@ class TestRegretLedger:
         snaps, _ = sequential_discrete_posteriors(cfg, grid, data, 2, 1.0)
         with pytest.raises(ValueError, match="snapshots"):
             regret_ledger(snaps, cfg, data, g, 1.0)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e308, math.inf])
+    def test_streamed_ledger_refuses_an_overflowing_beta(self, beta):
+        # refused before the pass, so no log-likelihood overflows first
+        cfg, data, grid, g = _instance(N=6, seed=2)
+        psi = grid_psi_table(cfg, grid, data.X)
+        with pytest.raises(ValueError, match="overflow"):
+            streamed_regret_ledger(cfg, psi, data.y, g, [(2, 1.0), (6, beta)])
 
 
 class TestTelescope:

@@ -1,6 +1,7 @@
 """Chain kernels, nested sampler vs quadrature oracles, determinism."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from lccnn.coupling import (
     sample_xi_given_w,
 )
 from lccnn.estimators import _logsumexp
+from lccnn import samplers
 from lccnn.samplers import (
     ChainConfig,
     ChainRng,
@@ -678,7 +680,11 @@ class TestQuadratureOracle:
         assert abs(rep["richardson"] - rep["values"]["finest"]) \
             < abs(rep["values"]["coarse"] - rep["values"]["finest"])
 
-    @pytest.mark.parametrize("K, d, r", [(1, 2, 60), (1, 3, 20), (3, 1, 25)])
+    # the last three span several chunks of the log-density pass: 90,000
+    # nodes in 3; 160,000 in 5, of at most 81 first-digit nodes; 389,017 in
+    # 12, of 6 first-digit nodes, the lone last one joining the 12th
+    @pytest.mark.parametrize("K, d, r", [(1, 2, 60), (1, 3, 20), (3, 1, 25),
+                                         (1, 2, 300), (2, 1, 400), (3, 1, 73)])
     def test_matches_gather_reference(self, K, d, r):
         cfg = NetworkConfig(K=K, d=d, V=1.0, activation=tanh_scaled())
         _, data = self._cfg_data(d=d, n=5, seed=K)
@@ -687,6 +693,33 @@ class TestQuadratureOracle:
         for name in ("probs", "log_density", "cell_volume"):
             assert np.array_equal(getattr(quad, name), ref[name])
         assert quad.mean_f(data.X[1]) == ref["mean_f"](data.X[1])
+
+    # 3,600 nodes: chunks of 2; of 59, 3,600 = 61 * 59 + 1, so the lone last
+    # row node joins the 61st chunk; of 3,599, which leaves one chunk
+    @pytest.mark.parametrize("chunk", [2, 59, 3599])
+    def test_chunking_keeps_bytes(self, monkeypatch, chunk):
+        monkeypatch.setattr(samplers, "_QUADRATURE_CHUNK", chunk)
+        cfg, data = self._cfg_data(d=2, n=5, seed=1)
+        quad = PosteriorQuadrature(cfg, data, 5, 1.7, 60)
+        ref = _quadrature_reference(cfg, data, 5, 1.7, 60)
+        for name in ("probs", "log_density", "cell_volume"):
+            assert np.array_equal(getattr(quad, name), ref[name])
+
+    def test_traced_peak_at_criterion_09_shape(self):
+        # one (n, nodes) pass took 67.6 MB at resolution 650 (422,500 nodes)
+        rng = np.random.default_rng(42)
+        X = rng.uniform(-1, 1, size=(5, 2))
+        X[:, 0] = 1.0
+        y = np.tanh(X @ np.array([0.35, 0.6])) + 0.1 * np.random.default_rng(1).standard_normal(5)
+        cfg = NetworkConfig(K=1, d=2, V=1.0, activation=tanh_scaled())
+        tracemalloc.start()
+        try:
+            quad = PosteriorQuadrature(cfg, Dataset(X=X, y=y), 5, 2.0, 650)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(quad.probs) == 650 ** 2
+        assert peak < 40_000_000
 
     def test_builds_past_the_enumeration_limit(self):
         # the grid prior's enumeration limit does not bound the oracle

@@ -9,7 +9,9 @@ Prints one line per output, its digest and a label:
   indep-k2d150 benchmark shape ((K, d, n) = (2, 150, 10), beta = 0.05,
   3,000 steps with 500 burn-in), rounds 0-2;
 - the `lccnn regret` ledger and regret-vs-bound CSVs at the exact-ledger
-  benchmark config (K = 2, d = 4, M = 3, N = 256), seeds 0-1.
+  benchmark config (K = 2, d = 4, M = 3, N = 256), seeds 0-1;
+- the `PosteriorQuadrature` probs bytes and mean_f at x = (1, 0.5) at the
+  criterion-09 shape (beta = 2), resolutions 350 and 651.
 
 The package is imported from the Python path, so the same script digests any
 checkout; run it on two and compare:
@@ -18,7 +20,7 @@ checkout; run it on two and compare:
     PYTHONPATH=src python tools/output_digests.py > after.txt
     diff before.txt after.txt
 
-It takes about two seconds on one core.
+It takes about three seconds on one core.
 """
 
 from __future__ import annotations
@@ -56,12 +58,18 @@ def _dir_digests(label: str, path: str):
             yield _sha(fh.read()), f"{label} {name}"
 
 
-def sample_digests(workdir: str):
-    """`lccnn sample` at the nested-k1d2 config, seeds 0-2."""
+def criterion09_data():
+    """The (K, d, n) = (1, 2, 5) data set of acceptance criterion 09."""
     rng = np.random.default_rng(42)
     X = rng.uniform(-1, 1, size=(5, 2))
     X[:, 0] = 1.0
     y = np.tanh(X @ np.array([0.35, 0.6])) + 0.1 * np.random.default_rng(1).standard_normal(5)
+    return X, y
+
+
+def sample_digests(workdir: str):
+    """`lccnn sample` at the nested-k1d2 config, seeds 0-2."""
+    X, y = criterion09_data()
     # the config names the data by a relative path (the config hash reads it),
     # resolved from the working directory
     data_path = "data.csv"
@@ -135,6 +143,17 @@ def regret_digests(workdir: str):
         yield from _dir_digests(f"regret seed={seed}", out)
 
 
+def quadrature_digests():
+    """PosteriorQuadrature at the criterion-09 shape, resolutions 350 and 651."""
+    X, y = criterion09_data()
+    cfg = NetworkConfig(K=1, d=2, V=1.0, activation=tanh_scaled())
+    for resolution in (350, 651):
+        q = samplers.PosteriorQuadrature(cfg, Dataset(X=X, y=y), 5, 2.0, resolution)
+        yield _sha(q.probs.tobytes()), f"quadrature resolution={resolution} probs"
+        yield _sha(repr(q.mean_f(np.array([1.0, 0.5]))).encode()), \
+            f"quadrature resolution={resolution} mean_f"
+
+
 def main() -> int:
     print(f"lccnn from {os.path.dirname(lccnn.__file__)}", file=sys.stderr)
     cwd = os.getcwd()
@@ -142,7 +161,7 @@ def main() -> int:
         os.chdir(workdir)
         try:
             for digest, label in (*sample_digests(workdir), *prior_mh_digests(),
-                                  *regret_digests(workdir)):
+                                  *regret_digests(workdir), *quadrature_digests()):
                 print(digest, label)
         finally:
             os.chdir(cwd)
