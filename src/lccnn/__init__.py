@@ -16,7 +16,6 @@ from .nnmodel import (
     loss,
     posterior_hessian_quadform,
     posterior_score,
-    residual,
     residuals,
     squared_relu,
     tanh_scaled,
@@ -24,7 +23,6 @@ from .nnmodel import (
 from .priors import (
     ContinuousL1Prior,
     DiscreteGridPrior,
-    coordinate_second_moment,
     dirichlet_moment,
     discretize_weights,
     enumerate_grid,
@@ -32,7 +30,6 @@ from .priors import (
     l1_ball_rows,
     prior_moment_bound,
     sample_continuous,
-    sample_grid_uniform,
 )
 from .coupling import (
     ConditionReport,
@@ -62,7 +59,6 @@ from .samplers import (
     ess_estimate,
     independence_chain,
     mala_chain,
-    quadrature_convergence_report,
     sample_marginal_xi,
     sample_reverse_conditional,
     sample_reverse_conditional_prior_mh,
@@ -73,9 +69,7 @@ from .estimators import (
     cesaro_mean,
     cesaro_predictive,
     exact_discrete_posterior,
-    export_snapshot,
     grid_psi_table,
-    load_snapshot_table,
     log_predictive_density,
     posterior_mean,
     predictive_density,

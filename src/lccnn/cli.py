@@ -270,7 +270,11 @@ def load_dataset_csv(path) -> Dataset:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            rows = fh.readlines()
+        # a header with no rows ('#' starts a comment) is N = 0 points of the
+        # header's columns
+        arr = (np.loadtxt(rows, delimiter=",", ndmin=2)
+               if any(r.split("#")[0].strip() for r in rows) else np.empty((0, len(header))))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if header[-1] != "y":
@@ -307,6 +311,7 @@ def _write_csv(path, cols, rows, comment: str = None) -> None:
 # synth
 # ----------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite response is refused below
 def synthesize(spec: dict, seed_override: int = None) -> tuple:
     spec = _take(spec, {"N": True, "d": True, "seed": False, "g": True, "noise": True},
                  "synthetic spec")
@@ -362,14 +367,18 @@ def synthesize(spec: dict, seed_override: int = None) -> tuple:
         teacher_meta["sigma"] = sigma
     elif nkind == "bounded":
         r = _number(noise.get("range", 1.0), "noise.range")
-        if r < 0.0:
-            raise ConfigError(f"noise.range must be >= 0, got {r!r}")
+        if not 0.0 <= r <= sys.float_info.max / 2:  # numpy draws over the width 2r
+            raise ConfigError(f"noise.range must be in [0, {sys.float_info.max / 2!r}], "
+                              f"got {r!r}")
         y = g_vals + rng.uniform(-r, r, size=N)
         teacher_meta["range"] = r
     else:
         raise ConfigError("noise.kind must be 'none', 'gaussian' or 'bounded'")
     teacher_meta["g_values_head"] = [float(v) for v in g_vals[:5]]
-    return Dataset(X=X, y=y), teacher_meta, g_vals
+    try:
+        return Dataset(X=X, y=y), teacher_meta, g_vals
+    except ValueError as exc:
+        raise ConfigError(f"synthetic data: {exc}") from exc
 
 
 def cmd_synth(args) -> int:

@@ -207,10 +207,10 @@ def marginal_score(xi: np.ndarray, inner_samples, params: CouplingParams,
     return score, se
 
 
-def _batch_means_se(series: np.ndarray, n_batches: int = 10) -> np.ndarray:
-    """Batch-means standard error of the mean along axis 0."""
+def _batch_means_se(series: np.ndarray) -> np.ndarray:
+    """Batch-means standard error of the mean along axis 0, from 10 batches."""
     S = series.shape[0]
-    b = max(1, S // n_batches)
+    b = max(1, S // 10)
     nb = S // b
     if nb < 2:
         return np.std(series, axis=0, ddof=1) / math.sqrt(max(S, 2))

@@ -17,7 +17,7 @@ identities hold to near machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "log_predictive_density",
     "cesaro_mean",
     "cesaro_predictive",
-    "export_snapshot",
-    "load_snapshot_table",
 ]
 
 def _logsumexp(v):
@@ -64,7 +62,6 @@ class PosteriorSnapshot:
     grid: np.ndarray = None             # (m, d) per-row support
     digits: np.ndarray = None           # (K, P) row indices into grid
     log_weights: np.ndarray = None      # (P,) normalized: logsumexp == 0
-    _f_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind == "exact":
@@ -88,11 +85,8 @@ class PosteriorSnapshot:
         x = np.asarray(x, dtype=float)
         if self.kind == "samples":
             return cfg.activation.psi(self.samples @ x) @ cfg.outer_weights
-        key = x.tobytes()
-        if key not in self._f_cache:
-            psi = cfg.activation.psi(self.grid @ x)  # (m,)
-            self._f_cache[key] = product_table(psi[None], cfg.outer_weights)[0]
-        return self._f_cache[key]
+        psi = cfg.activation.psi(self.grid @ x)  # (m,)
+        return product_table(psi[None], cfg.outer_weights)[0]
 
     def points(self) -> np.ndarray:
         """Materialize the (P, K, d) support (test-scale convenience)."""
@@ -242,25 +236,3 @@ def cesaro_predictive(snapshots, cfg: NetworkConfig, x: np.ndarray, y: float,
     """Uniform mixture of the n-indexed predictive densities."""
     _check_cesaro(snapshots)
     return float(np.mean([predictive_density(s, cfg, x, y, beta) for s in snapshots]))
-
-
-def export_snapshot(snapshot: PosteriorSnapshot, path) -> None:
-    """Portable text table: one 'index log_weight' line per support point."""
-    if snapshot.kind != "exact":
-        raise ValueError("only exact tables export as text")
-    with open(path, "w") as fh:
-        fh.write(f"# n={snapshot.n} beta={float(snapshot.beta)!r} points={len(snapshot.log_weights)}\n")
-        for i, lw in enumerate(snapshot.log_weights):
-            fh.write(f"{i} {float(lw)!r}\n")
-
-
-def load_snapshot_table(path) -> np.ndarray:
-    """Log-weights back from an exported text table."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            _, lw = line.split()
-            out.append(float(lw))
-    return np.array(out)

@@ -25,7 +25,6 @@ __all__ = [
     "check_weights",
     "eval_network",
     "eval_network_many",
-    "residual",
     "residuals",
     "loss",
     "log_posterior_unnorm",
@@ -195,17 +194,16 @@ class Dataset:
         return self.X.shape[1]
 
 
-def check_weights(w: np.ndarray, cfg: NetworkConfig, tol: float = 1e-12,
-                  batch: bool = False) -> np.ndarray:
+def check_weights(w: np.ndarray, cfg: NetworkConfig, batch: bool = False) -> np.ndarray:
     """Validate a K x d weight matrix, or with batch a stack of them, shape
-    (..., K, d): every row's l1 norm at most 1."""
+    (..., K, d): every row's l1 norm at most 1 + 1e-12."""
     w = np.asarray(w, dtype=float)
     if w.shape[-2:] != (cfg.K, cfg.d) or (w.ndim > 2 and not batch):
         lead = "..., " if batch else ""
         raise ValueError(f"weight matrix must have shape ({lead}{cfg.K}, {cfg.d}), "
                          f"got {w.shape}")
     norms = np.abs(w).sum(axis=-1)
-    if np.any(norms > 1.0 + tol):
+    if np.any(norms > 1.0 + 1e-12):
         raise ValueError("every weight row must have l1 norm <= 1")
     return w
 
@@ -234,14 +232,6 @@ def residuals(cfg: NetworkConfig, w: np.ndarray, data: Dataset, n: int) -> np.nd
     if not 0 <= n <= data.N:
         raise IndexError(f"prefix length n={n} out of range [0, {data.N}]")
     return data.y[:n] - eval_network_many(cfg, w, data.X[:n])
-
-
-def residual(cfg: NetworkConfig, w: np.ndarray, data: Dataset, i: int) -> float:
-    """Residual of observation i (1-based)."""
-    if not 1 <= i <= data.N:
-        raise IndexError(f"index i={i} out of range [1, {data.N}]")
-    check_weights(w, cfg)
-    return float(data.y[i - 1] - eval_network(cfg, w, data.X[i - 1]))
 
 
 def loss(cfg: NetworkConfig, w: np.ndarray, data: Dataset, n: int):

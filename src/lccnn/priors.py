@@ -24,10 +24,8 @@ __all__ = [
     "DiscreteGridPrior",
     "l1_ball_rows",
     "sample_continuous",
-    "coordinate_second_moment",
     "enumerate_grid",
     "grid_cardinality",
-    "sample_grid_uniform",
     "dirichlet_moment",
     "prior_moment_bound",
     "discretize_weights",
@@ -89,21 +87,6 @@ def sample_continuous(prior: ContinuousL1Prior, rng: np.random.Generator) -> np.
     return l1_ball_rows(g, bits.reshape(K, d))
 
 
-def coordinate_second_moment(d: int) -> dict:
-    """Second moment of one coordinate under the signed l1-ball uniform.
-
-    Returns both E[w_j^2] = 2/((d+1)(d+2)) for the signed prior and
-    d/((d+1)^2 (d+2)), the variance of one coordinate of the unsigned
-    Dirichlet(1,...,1), which is sometimes mistaken for the signed value.
-    The two differ (d=1: 1/3 vs 1/12); both are surfaced for comparison.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    signed = 2.0 / ((d + 1.0) * (d + 2.0))
-    unsigned_var = d / ((d + 1.0) ** 2 * (d + 2.0))
-    return {"signed_ball": signed, "unsigned_dirichlet_variance": unsigned_var}
-
-
 def _enumerate_rows(d: int, budget: int) -> list:
     """All integer vectors of length d with sum of absolute values <= budget."""
     if d == 0:
@@ -115,17 +98,16 @@ def _enumerate_rows(d: int, budget: int) -> list:
     return out
 
 
-def enumerate_grid(prior: DiscreteGridPrior, limit: int = DEFAULT_ENUMERATION_LIMIT) -> np.ndarray:
+def enumerate_grid(prior: DiscreteGridPrior) -> np.ndarray:
     """Exact support of S^d_{1,M} as an array of d-vectors (no duplicates).
 
-    Refuses when the (2d+1)^M cardinality bound exceeds the limit, reporting
-    the projected count.
+    Refuses when the (2d+1)^M cardinality bound exceeds
+    DEFAULT_ENUMERATION_LIMIT, reporting the projected count.
     """
     projected = (2 * prior.d + 1) ** prior.M
-    if projected > limit:
-        raise ValueError(
-            f"grid enumeration refused: projected count bound {projected} exceeds limit {limit}"
-        )
+    if projected > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"grid enumeration refused: projected count bound {projected} "
+                         f"exceeds limit {DEFAULT_ENUMERATION_LIMIT}")
     rows = _enumerate_rows(prior.d, prior.M)
     pts = np.array(rows, dtype=float) / prior.M
     return pts
@@ -137,39 +119,6 @@ def grid_cardinality(d: int, budget: int) -> int:
     if d == 0:
         return 1
     return sum(grid_cardinality(d - 1, budget - abs(v)) for v in range(-budget, budget + 1))
-
-
-@lru_cache(maxsize=None)
-def _count_abs_sum_exact(d: int, t: int) -> int:
-    """Count of v in Z^d with sum |v_j| exactly t."""
-    if d == 0:
-        return 1 if t == 0 else 0
-    return sum(_count_abs_sum_exact(d - 1, t - abs(v)) for v in range(-t, t + 1))
-
-
-def sample_grid_uniform(prior: DiscreteGridPrior, rng: np.random.Generator) -> np.ndarray:
-    """Exact uniform draw from (S^d_{1,M})^K without enumeration.
-
-    Sequential composition sampling: pick the total |v| mass t with
-    probability proportional to the exact count of points at that mass,
-    then fill coordinates left to right by the same conditional counts.
-    Usable when (2d+1)^M is far beyond any enumeration limit.
-    """
-    d, M = prior.d, prior.M
-    totals = np.array([_count_abs_sum_exact(d, t) for t in range(M + 1)], dtype=float)
-    out = np.zeros((prior.K, d))
-    for k in range(prior.K):
-        t = int(rng.choice(M + 1, p=totals / totals.sum()))
-        for j in range(d):
-            rem_dim = d - j - 1
-            weights = np.array(
-                [_count_abs_sum_exact(rem_dim, t - abs(v)) for v in range(-t, t + 1)],
-                dtype=float,
-            )
-            v = int(rng.choice(2 * t + 1, p=weights / weights.sum())) - t
-            out[k, j] = v / M
-            t -= abs(v)
-    return out
 
 
 def dirichlet_moment(d: int, r) -> dict:

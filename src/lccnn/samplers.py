@@ -60,7 +60,6 @@ __all__ = [
     "TwoStageBudgets",
     "two_stage_sample",
     "PosteriorQuadrature",
-    "quadrature_convergence_report",
     "CouplingOracle1D",
     "ess_estimate",
 ]
@@ -150,30 +149,26 @@ class ChainDiagnostics:
 
 
 class _DualAveraging:
-    """Step-size adaptation toward a target acceptance rate.
+    """Step-size adaptation toward acceptance 0.574 (dual averaging with
+    gamma = 0.05, t0 = 10 and kappa = 0.75).
 
     Runs during burn-in only and is frozen afterwards, keeping the retained
     portion of the chain Markovian.
     """
 
-    def __init__(self, eps0: float, target: float = 0.574,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    def __init__(self, eps0: float):
         self.mu = math.log(10.0 * eps0)
-        self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.h_bar = 0.0
         self.log_eps_bar = math.log(eps0)
         self.t = 0
 
     def update(self, alpha: float) -> float:
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
-        self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - alpha)
-        log_eps = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
+        frac = 1.0 / (self.t + 10.0)
+        self.h_bar = (1.0 - frac) * self.h_bar + frac * (0.574 - alpha)
+        log_eps = self.mu - math.sqrt(self.t) / 0.05 * self.h_bar
         log_eps = min(max(log_eps, -20.0), 5.0)  # keep proposals finite
-        eta = self.t ** (-self.kappa)
+        eta = self.t ** -0.75
         self.log_eps_bar = eta * log_eps + (1.0 - eta) * self.log_eps_bar
         return math.exp(log_eps)
 
@@ -683,29 +678,6 @@ class PosteriorQuadrature:
     def mean_f(self, x: np.ndarray) -> float:
         psi_x = self.cfg.activation.psi(self._row_pts @ np.asarray(x))
         return float(self.probs @ product_table(psi_x[None], self.cfg.outer_weights)[0])
-
-
-def quadrature_convergence_report(cfg: NetworkConfig, data: Dataset, n: int,
-                                  beta: float, grid_resolution: int,
-                                  x: np.ndarray) -> dict:
-    """Posterior-mean convergence under resolution doubling.
-
-    Midpoint rules on the exact nested-interval parametrization of the l1
-    ball converge at second order, so the coarse/fine error ratio should sit
-    near 4 and the Richardson value gives the extrapolated limit.
-    """
-    vals = {}
-    for label, res in (("coarse", grid_resolution), ("fine", 2 * grid_resolution),
-                       ("finest", 4 * grid_resolution)):
-        vals[label] = PosteriorQuadrature(cfg, data, n, beta, res).mean_f(x)
-    err_coarse = abs(vals["coarse"] - vals["finest"])
-    err_fine = abs(vals["fine"] - vals["finest"])
-    richardson = vals["fine"] + (vals["fine"] - vals["coarse"]) / 3.0
-    return {
-        "values": vals,
-        "error_ratio": err_coarse / err_fine if err_fine > 0 else math.inf,
-        "richardson": richardson,
-    }
 
 
 class CouplingOracle1D:

@@ -354,6 +354,71 @@ def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
     assert not (tmp_path / "out").exists()
 
 
+# each spec once ended in a traceback: a NaN teacher weight, responses that
+# overflow, and a noise range whose width 2r overflows numpy's uniform draw
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g, noise", [
+    pytest.param({"kind": "teacher", "K": 1, "V": 1.0, "activation": {"kind": "tanh"},
+                  "weights": [[math.nan, 0.0]]}, {"kind": "none"}, id="teacher-weights-nan"),
+    pytest.param({"kind": "cosine", "amplitude": 1e308}, {"kind": "gaussian", "sigma": 1e308},
+                 id="cosine-amplitude-and-sigma-1e308"),
+    pytest.param({"kind": "teacher", "K": 1, "V": 1e308,
+                  "activation": {"kind": "tanh", "a": 1e308}}, {"kind": "none"},
+                 id="teacher-V-and-a-1e308"),
+    pytest.param({"kind": "cosine"}, {"kind": "bounded", "range": 1e308},
+                 id="bounded-range-1e308"),
+])
+@pytest.mark.parametrize("command", ["synth", "sample", "regret"])
+def test_synthetic_spec_out_of_range_exits_2(tmp_path, capsys, command, g, noise):
+    base = {"sample": SAMPLE_CONFIG, "regret": REGRET_CONFIG}.get(command, SAMPLE_CONFIG)
+    config = json.loads(json.dumps(base))
+    config["data"]["synthetic"].update(N=40, g=g, noise=noise)  # the cosine case overflows
+    if command == "synth":
+        argv = ["synth", "--spec", _write(tmp_path / "spec.json", config["data"]["synthetic"])]
+    else:
+        argv = [command, "--config", _write(tmp_path / "cfg.json", config)]
+    assert main(["--output-dir", str(tmp_path / "out")] + argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+class TestHeaderOnlyCsv:
+    """A data CSV with a header and no rows, as `lccnn synth` writes for N = 0."""
+
+    @pytest.fixture
+    def data_path(self, tmp_path, monkeypatch):
+        spec = dict(SYNTH_SPEC, N=0, d=2)
+        assert main(["--output-dir", str(tmp_path), "synth", "--out", "empty.csv",
+                     "--spec", _write(tmp_path / "spec.json", spec)]) == 0
+        monkeypatch.chdir(tmp_path)
+        return "empty.csv"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tail", ["", "\n  \n", "# a comment line\n"])
+    def test_reads_as_zero_rows(self, data_path, tail):
+        with open(data_path, "a") as fh:
+            fh.write(tail)
+        data = load_dataset_csv(data_path)
+        assert (data.N, data.d) == (0, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_regret_writes_the_empty_ledger(self, tmp_path, data_path):
+        cfg = dict(REGRET_CONFIG, data={"path": data_path})
+        assert main(["--output-dir", "out", "regret",
+                     "--config", _write(tmp_path / "cfg.json", cfg)]) == 0
+        text = (tmp_path / "out" / f"ledger_{config_hash(cfg)}.csv").read_text()
+        assert len(text.strip().split("\n")) == 2  # hash comment and header
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_exits_2(self, tmp_path, capsys, data_path):
+        cfg = dict(SAMPLE_CONFIG, data={"path": data_path})
+        assert main(["--output-dir", "out", "sample",
+                     "--config", _write(tmp_path / "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: the sampler needs at least one data point\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_telescope_selector(self, capsys):
         rc = main(["verify", "telescope"])

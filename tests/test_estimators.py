@@ -13,8 +13,6 @@ from lccnn.estimators import (
     cesaro_mean,
     cesaro_predictive,
     exact_discrete_posterior,
-    export_snapshot,
-    load_snapshot_table,
     log_predictive_density,
     posterior_mean,
     predictive_density,
@@ -190,13 +188,3 @@ class TestCesaro:
         s2 = exact_discrete_posterior(cfg, grid, data, 2, beta=1.0)
         with pytest.raises(ValueError, match="consecutive"):
             cesaro_mean([s0, s2], cfg, np.array([1.0, 0.0]))
-
-
-class TestSnapshotExport:
-    def test_round_trip(self, tmp_path):
-        cfg, data, grid = _setup(beta=1.3)
-        snap = exact_discrete_posterior(cfg, grid, data, 4, beta=1.3)
-        path = tmp_path / "table.txt"
-        export_snapshot(snap, path)
-        back = load_snapshot_table(path)
-        assert np.array_equal(back, snap.log_weights)

@@ -15,7 +15,7 @@ from lccnn.nnmodel import (
     loss,
     posterior_hessian_quadform,
     posterior_score,
-    residual,
+    residuals,
     squared_relu,
     tanh_scaled,
 )
@@ -108,13 +108,13 @@ class TestResidualAndLoss:
     def test_zero_network_residual_is_y(self):
         cfg = _tanh_cfg()
         data = Dataset(X=np.array([[1.0, 0.0]]), y=np.array([3.0]))
-        assert residual(cfg, np.zeros((1, 2)), data, 1) == 3.0
+        assert residuals(cfg, np.zeros((1, 2)), data, 1)[0] == 3.0
 
     def test_residual_single_neuron(self):
         cfg = _tanh_cfg(K=1, d=2)
         data = Dataset(X=np.array([[1.0, 0.0]]), y=np.array([1.0]))
         w = np.array([[1.0, 0.0]])
-        assert residual(cfg, w, data, 1) == pytest.approx(1.0 - math.tanh(1.0), abs=1e-12)
+        assert residuals(cfg, w, data, 1)[0] == pytest.approx(1.0 - math.tanh(1.0), abs=1e-12)
 
     def test_residual_bounded_by_C_n(self):
         cfg = _tanh_cfg(K=2, d=3, V=1.5)
@@ -124,14 +124,13 @@ class TestResidualAndLoss:
         prior = ContinuousL1Prior(d=3, K=2)
         for _ in range(100):
             w = sample_continuous(prior, rng)
-            for i in range(1, 7):
-                assert abs(residual(cfg, w, data, i)) <= C
+            assert np.all(np.abs(residuals(cfg, w, data, 6)) <= C)
 
     def test_index_out_of_range(self):
         cfg = _tanh_cfg()
         data = _data(n=3)
         with pytest.raises(IndexError):
-            residual(cfg, np.zeros((1, 2)), data, 4)
+            residuals(cfg, np.zeros((1, 2)), data, 4)
 
     def test_loss_values(self):
         cfg = _tanh_cfg()

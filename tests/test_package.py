@@ -1,9 +1,14 @@
-"""Package surface: every exported name exists, and every committed benchmark
-record carries the fields a speed claim needs."""
+"""Package surface: every exported name exists, every committed benchmark
+record carries the fields a speed claim needs, and the byte-identity digest
+tool runs."""
 
 import importlib
 import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +36,14 @@ def test_bench_record_fields(path):
             for side in ("parent", "change"):
                 assert isinstance(pair[side]["correct"], bool), (workload, pair["seed"])
                 assert isinstance(pair[side]["failed"], int), (workload, pair["seed"])
+
+
+def test_output_digests_tool_prints_26_digests():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 26
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S.*", line) for line in lines), lines
+    labels = [line[65:] for line in lines]
+    assert len(set(labels)) == len(labels)

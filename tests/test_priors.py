@@ -9,7 +9,6 @@ from scipy import integrate
 from lccnn.priors import (
     ContinuousL1Prior,
     DiscreteGridPrior,
-    coordinate_second_moment,
     dirichlet_moment,
     discretize_weights,
     enumerate_grid,
@@ -17,7 +16,6 @@ from lccnn.priors import (
     l1_ball_rows,
     prior_moment_bound,
     sample_continuous,
-    sample_grid_uniform,
 )
 
 
@@ -81,24 +79,6 @@ class TestContinuousSampling:
         assert rng.random() == ref.random()
 
 
-class TestCoordinateSecondMoment:
-    def test_d1_values(self):
-        out = coordinate_second_moment(1)
-        assert out["signed_ball"] == pytest.approx(1.0 / 3.0)
-        assert out["unsigned_dirichlet_variance"] == pytest.approx(1.0 / 12.0)
-
-    def test_d2_monte_carlo_matches_signed_value(self):
-        rng = np.random.default_rng(3)
-        draws = sample_continuous(ContinuousL1Prior(d=2, K=1_000_000), rng)[:, 0]
-        m2 = np.mean(draws ** 2)
-        se = np.std(draws ** 2, ddof=1) / math.sqrt(len(draws))
-        out = coordinate_second_moment(2)
-        assert out["signed_ball"] == pytest.approx(1.0 / 6.0)
-        assert abs(m2 - out["signed_ball"]) <= 3.0 * se
-        # the unsigned-coordinate variance is a different number; MC rejects it
-        assert abs(m2 - out["unsigned_dirichlet_variance"]) > 10.0 * se
-
-
 class TestGridEnumeration:
     def test_d1_M1(self):
         pts = enumerate_grid(DiscreteGridPrior(d=1, M=1))
@@ -126,24 +106,7 @@ class TestGridEnumeration:
 
     def test_refuses_oversized_enumeration(self):
         with pytest.raises(ValueError, match="projected count"):
-            enumerate_grid(DiscreteGridPrior(d=60, M=8), limit=10 ** 6)
-
-
-class TestUniformGridSampling:
-    def test_support_and_uniformity(self):
-        prior = DiscreteGridPrior(d=2, M=2)
-        pts = enumerate_grid(prior)
-        lookup = {tuple(p): i for i, p in enumerate(pts)}
-        rng = np.random.default_rng(5)
-        counts = np.zeros(len(pts))
-        n_draws = 13_000
-        for _ in range(n_draws):
-            w = sample_grid_uniform(prior, rng)[0]
-            counts[lookup[tuple(w)]] += 1
-        expected = n_draws / len(pts)
-        chi2 = np.sum((counts - expected) ** 2 / expected)
-        # chi-square with 12 dof: 99.9th percentile is ~32.9
-        assert chi2 < 33.0
+            enumerate_grid(DiscreteGridPrior(d=60, M=8))
 
 
 class TestDirichletMoment:

@@ -670,15 +670,14 @@ class TestQuadratureOracle:
         assert abs(quad.total_mass() - 1.0) < 1e-10
 
     def test_second_order_convergence(self):
-        from lccnn.samplers import quadrature_convergence_report
-
         cfg, data = self._cfg_data(seed=3)
-        rep = quadrature_convergence_report(cfg, data, 4, 2.0, 50,
-                                            np.array([1.0, 0.4]))
+        x = np.array([1.0, 0.4])
+        coarse, fine, finest = (PosteriorQuadrature(cfg, data, 4, 2.0, r).mean_f(x)
+                                for r in (50, 100, 200))
         # halving h cuts the midpoint-rule error by about 4
-        assert rep["error_ratio"] > 2.5
-        assert abs(rep["richardson"] - rep["values"]["finest"]) \
-            < abs(rep["values"]["coarse"] - rep["values"]["finest"])
+        assert abs(coarse - finest) > 2.5 * abs(fine - finest)
+        # and the Richardson extrapolation lands nearer the finest value
+        assert abs(fine + (fine - coarse) / 3.0 - finest) < abs(coarse - finest)
 
     # the last three span several chunks of the log-density pass: 90,000
     # nodes in 3; 160,000 in 5, of at most 81 first-digit nodes; 389,017 in

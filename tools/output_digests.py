@@ -20,6 +20,11 @@ checkout; run it on two and compare:
     PYTHONPATH=src python tools/output_digests.py > after.txt
     diff before.txt after.txt
 
+Two checkouts compare only at the same BLAS thread count: on a 2-core host,
+two OpenBLAS threads change the four regret CSV digests and both mean_f
+digests.  So the script sets the OpenBLAS, OpenMP and MKL thread counts to 1
+before it imports numpy.
+
 It takes about three seconds on one core.
 """
 
@@ -34,11 +39,17 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+# the regret ledgers' and mean_f's BLAS dot products split their sums across
+# threads, so their bytes hold at a fixed thread count: one, set before numpy
+# loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import lccnn
-from lccnn import cli, coupling, priors, samplers
-from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled
+import numpy as np  # noqa: E402
+
+import lccnn  # noqa: E402
+from lccnn import cli, coupling, priors, samplers  # noqa: E402
+from lccnn.nnmodel import Dataset, NetworkConfig, tanh_scaled  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
